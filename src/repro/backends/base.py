@@ -320,15 +320,28 @@ class EvalOutcome:
         out.update(self.metrics)
         return out
 
+    def physics_metrics(self) -> dict[str, float]:
+        """``metrics`` minus telemetry: the backend's declared
+        ``telemetry_metrics`` columns and every ``profile_*`` column
+        say how a result was computed, not what it is."""
+        skip = telemetry_metrics_of(self.backend)
+        return {
+            name: value
+            for name, value in self.metrics.items()
+            if name not in skip and not name.startswith("profile_")
+        }
+
     def identical(self, other: "EvalOutcome") -> bool:
-        """Bit-exact comparison of every counter, metric and array."""
+        """Bit-exact comparison of the physics: every counter, array
+        and non-telemetry metric.  A result must not depend on the
+        engine path that computed it, so telemetry is not compared."""
         return (
             self.backend == other.backend
             and self.scenario == other.scenario
             and self.stats.array_names == other.stats.array_names
             and np.array_equal(self.stats.counts, other.stats.counts)
             and np.array_equal(self.stats.by_array, other.stats.by_array)
-            and self.metrics == other.metrics
+            and self.physics_metrics() == other.physics_metrics()
             and set(self.per_pe) == set(other.per_pe)
             and all(
                 np.array_equal(self.per_pe[name], other.per_pe[name])
@@ -356,7 +369,7 @@ class EvalBackend(Protocol):
     ``metrics`` dict carries; ``table_metrics`` is the subset worth a
     column in the CLI's record tables.
 
-    Two optional extensions refine the engine's behaviour:
+    Three optional extensions refine the engine's behaviour:
 
     * ``supported_reductions`` — a tuple of reduction-strategy names,
       declared when the backend wants strategy-level validation (both
@@ -365,6 +378,10 @@ class EvalBackend(Protocol):
       construction instead of mid-run, and ``evaluate`` raises
       :class:`UnsupportedScenarioError` for hand-built scenarios that
       bypass the validator (full matrix in ``docs/backends.md``);
+    * ``telemetry_metrics`` — the ``result_schema`` columns that count
+      engine decisions (fallbacks, routes) rather than physics;
+      :meth:`EvalOutcome.identical` ignores them, as it ignores every
+      ``profile_*`` column;
     * ``dispatch_jobs(jobs, traces, touch, trace_paths)`` — declared
       by *dispatching* backends (the shared evaluation service): the
       campaign executor hands such a backend its whole job list to
@@ -403,6 +420,12 @@ def get_backend(name: str) -> EvalBackend:
 
 def backend_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def telemetry_metrics_of(name: str) -> tuple[str, ...]:
+    """The telemetry metric columns backend ``name`` declares (none if
+    it declares none or is not registered)."""
+    return tuple(getattr(_REGISTRY.get(name), "telemetry_metrics", ()))
 
 
 def cache_identity_of(name: str) -> str:

@@ -81,6 +81,7 @@ from .base import (
     get_backend,
     record_evaluations,
     register_backend,
+    telemetry_metrics_of,
 )
 
 __all__ = [
@@ -902,6 +903,10 @@ class ServiceBackend:
     @property
     def table_metrics(self) -> tuple[str, ...]:
         return self._delegate_backend().table_metrics
+
+    @property
+    def telemetry_metrics(self) -> tuple[str, ...]:
+        return telemetry_metrics_of(self.delegate)
 
     @property
     def supported_reductions(self) -> tuple[str, ...] | None:

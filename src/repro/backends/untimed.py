@@ -9,16 +9,18 @@ cost model do not exist in the untimed model.
 
 Traces that carry a super-op view (loaded from a v2 store shard, or
 explicitly compacted) replay through
-:func:`repro.core.superop_replay.replay_superops` instead: O(unique
-behaviour) work, counters bit-identical to the flat walk.  Cold and
-warm LRU ops and cold FIFO ops decide in closed form; the remaining
-per-piece walks are enumerated in ``docs/fastpaths.md``.
+:func:`repro.core.superop_replay.replay_superops` instead when the view
+:func:`~repro.core.superop_replay.closes` under the scenario's
+geometry: O(unique behaviour) work, counters bit-identical to the flat
+walk.  A view that does not close replays the flat trace here.  Cold
+and warm LRU ops and cold FIFO ops decide in closed form; the
+remaining per-piece walks are enumerated in ``docs/fastpaths.md``.
 """
 
 from __future__ import annotations
 
 from ..core.simulator import simulate
-from ..core.superop_replay import replay_superops
+from ..core.superop_replay import closes, replay_superops
 from ..ir.trace import Trace
 from ..obs import profile
 from .base import EvalOutcome, Scenario, register_backend
@@ -44,11 +46,12 @@ class UntimedBackend:
         # bit-exactness contract (and cached outcomes replay whatever
         # columns they were stored with).
         superops = trace.attached_superops()
+        config = scenario.config
 
         def run():
-            if superops is not None and superops.ops:
-                return replay_superops(superops, scenario.config)
-            return simulate(trace, scenario.config)
+            if superops is not None and superops.ops and closes(superops, config):
+                return replay_superops(superops, config)
+            return simulate(trace, config)
 
         phases: dict[str, float] = {}
         if profile.enabled():

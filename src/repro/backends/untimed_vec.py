@@ -6,10 +6,12 @@ access-category counters, same per-PE fetch vectors — but replays the
 trace through :func:`repro.core.vec_simulator.simulate_vec`.  The two
 backends are held bit-identical by the generative differential harness
 in ``tests/test_vec_fidelity.py``; only the ``vec_fallback_pes``
-metric (how many PE cache walks needed the scalar fallback) and the
-profile phase names distinguish their outcomes.  LRU and FIFO walks
-both solve in closed form — ``docs/fastpaths.md`` maps exactly which
-(policy, capacity, warmth) cells replay columnar and which fall back.
+telemetry metric (how many PE cache walks needed the scalar fallback)
+and the profile phase names distinguish their outcomes, and
+:meth:`~repro.backends.base.EvalOutcome.identical` ignores both.  LRU
+and FIFO walks both solve in closed form — ``docs/fastpaths.md`` maps
+exactly which (policy, capacity, warmth) cells replay columnar and
+which fall back.
 
 Scenario knobs the columnar engine cannot batch raise
 :class:`~repro.backends.base.UnsupportedScenarioError` up front — an
@@ -22,7 +24,7 @@ that refused it, exactly as the timed backend does.
 from __future__ import annotations
 
 from ..cache import POLICIES
-from ..core.superop_replay import replay_superops
+from ..core.superop_replay import closes, replay_superops
 from ..core.vec_simulator import simulate_vec
 from ..ir.trace import Trace
 from ..obs import profile
@@ -51,6 +53,9 @@ class UntimedVecBackend:
         "vec_fallback_pes",
     )
     table_metrics: tuple[str, ...] = ("page_fetches",)
+    #: Counts engine decisions, not physics: super-op and flat replay
+    #: of one point may differ here and still be identical().
+    telemetry_metrics: tuple[str, ...] = ("vec_fallback_pes",)
 
     def evaluate(self, trace: Trace, scenario: Scenario) -> EvalOutcome:
         config = scenario.config
@@ -72,10 +77,11 @@ class UntimedVecBackend:
         superops = trace.attached_superops()
 
         def run():
-            # A trace carrying a super-op view replays in O(unique
-            # behaviour); the engine's own scalar fallback count flows
-            # into the same vec_fallback_pes metric.
-            if superops is not None and superops.ops:
+            # A super-op view that closes under this geometry replays in
+            # O(unique behaviour); any other view replays the flat trace
+            # columnar.  Either engine's scalar fallback count flows into
+            # the same vec_fallback_pes metric.
+            if superops is not None and superops.ops and closes(superops, config):
                 return replay_superops(superops, config, telemetry=telemetry)
             return simulate_vec(trace, config, telemetry)
 

@@ -4,15 +4,23 @@ Replays a :class:`~repro.ir.superops.SuperOpTrace` against one machine
 configuration with results bit-identical to
 ``simulate(sot.expand(), config)`` — without materialising the trips.
 
-The engine walks the trace-order segments.  Residual (flat) segments
-are classified vectorised and cache-walked run-length compressed,
-exactly like :func:`repro.core.simulator.simulate`, but against
-*persistent* per-PE caches so segment boundaries are invisible:
-re-probing a just-touched page is a guaranteed hit with an identical
-state effect under every policy (LRU's ``move_to_end`` is idempotent;
-FIFO/random/direct hits are no-ops; the random policy's RNG is only
-consulted on evictions), so splitting a PE's access stream at any
-point is exact.
+Whether a view replays this way is decided once per machine geometry
+by :func:`closes`: a cached machine, no ``subrange`` reduction over a
+trace that reduces, and fewer pieces than trips in every op.  A view
+that does not close is handed whole to the general engine,
+:func:`~repro.core.vec_simulator.simulate_vec` — by the backends on the
+flat trace they hold, by a direct :func:`replay_superops` call on
+``sot.expand()`` — never to a third code path.
+
+A closing view is walked in trace-order segments.  Residual (flat)
+segments are classified vectorised and cache-walked run-length
+compressed, exactly like :func:`repro.core.simulator.simulate`, but
+against *persistent* per-PE caches so segment boundaries are
+invisible: re-probing a just-touched page is a guaranteed hit with an
+identical state effect under every policy (LRU's ``move_to_end`` is
+idempotent; FIFO/random/direct hits are no-ops; the random policy's
+RNG is only consulted on evictions), so splitting a PE's access stream
+at any point is exact.
 
 A super-op segment is evaluated *piecewise*: the page number of an
 affine access stream ``(f0 + k*d) // page_size`` is a staircase in the
@@ -55,14 +63,17 @@ non-convergent profile — take the per-piece path above instead; see
 Everything capacity- and policy-independent — piece boundaries, owner
 classification, the write/local closed-form sums, the reduced runs
 and their reuse-distance profile — is compiled once per (op, machine
-geometry) into an :class:`_OpProgram` memoised on the trace, so warm
-replays of a stored trace (the store's steady state, and what
-``tools/superop_bench.py`` measures) reduce to comparing the distance
-profile against the cache capacity and a handful of segment sums.
+geometry) into an :class:`_OpProgram` memoised on the trace (the
+piece boundaries :func:`closes` tests are memoised alongside), so
+warm replays of a stored trace (the store's steady state, and what
+``tools/superop_bench.py`` measures) reduce to comparing the
+distance profile against the cache capacity and a handful of segment
+sums.
 
 The optional ledger records the per-(PE, array) hit counts and
 per-(PE, page) miss counts the timed machine's analytic fast path
-(``machine.msim.run_compacted``) turns into latency.
+(``machine.msim.run_compacted``) turns into latency; it is only
+defined for views that close.
 """
 
 from __future__ import annotations
@@ -76,11 +87,11 @@ from ..ir.superops import SuperOp, SuperOpTrace
 from ..memory.pages import PageTable
 from ..obs.profile import phase as _phase
 from .access import AccessKind
-from .simulator import MachineConfig, SimResult, _owners_by_array, simulate
+from .simulator import MachineConfig, SimResult, _owners_by_array
 from .stats import AccessStats
-from .vec_simulator import _WINDOW_BUDGET, _fifo_fixed_point
+from .vec_simulator import _WINDOW_BUDGET, _fifo_fixed_point, simulate_vec
 
-__all__ = ["replay_superops"]
+__all__ = ["closes", "replay_superops"]
 
 #: Composite (array, page) key packing, as in the flat simulators.
 _KEY_SHIFT = 1 << 40
@@ -151,6 +162,82 @@ class _OpProgram:
     )
 
 
+def _geometry(config: MachineConfig) -> tuple:
+    """The memo key of everything compiled per machine geometry."""
+    partition = config.partition
+    return (
+        config.page_size,
+        config.n_pes,
+        type(partition).__name__,
+        partition.label,
+    )
+
+
+def _stream_breaks(f0: int, d: int, ps: int, m: int) -> np.ndarray:
+    """Trip indices in ``(0, m)`` where ``(f0 + k*d) // ps`` steps."""
+    if d == 0 or m <= 1:
+        return np.zeros(0, dtype=np.int64)
+    first = f0 // ps
+    last = (f0 + (m - 1) * d) // ps
+    if d > 0:
+        pages = np.arange(first + 1, last + 1, dtype=np.int64)
+        # ceildiv(P*ps - f0, d): first trip on or past page P.
+        return -((f0 - pages * ps) // d)
+    pages = np.arange(first - 1, last - 1, -1, dtype=np.int64)
+    # First trip at or below page P: f0 + k*d <= (P+1)*ps - 1.
+    return -(-(f0 - (pages + 1) * ps + 1) // (-d))
+
+
+def _op_breaks(op: SuperOp, ps: int) -> np.ndarray | None:
+    """Merged piece boundaries of all streams, or None if the
+    piecewise form degenerates (about one piece per trip)."""
+    m = op.trips
+    streams = list(zip(op.b_w_flat.tolist(), op.w_stride.tolist())) + list(
+        zip(op.b_r_flat.tolist(), op.r_stride.tolist())
+    )
+    # Cheap pre-gate on the breakpoint count before generating any.
+    est = sum(abs(d) * (m - 1) // ps + 1 for _, d in streams if d)
+    if est >= m:
+        return None
+    parts = [np.array([0, m], dtype=np.int64)]
+    parts += [_stream_breaks(f0, d, ps, m) for f0, d in streams]
+    boundaries = np.unique(np.concatenate(parts))
+    if len(boundaries) - 1 >= m:
+        return None
+    return boundaries
+
+
+def _op_bounds(sot: SuperOpTrace, ps: int) -> dict[int, np.ndarray | None]:
+    """Every op's :func:`_op_breaks` at page size ``ps``, keyed by op
+    identity and memoised on the trace: :func:`closes` tests them and
+    op compilation reads them."""
+    memo = sot.__dict__.get("_op_bounds")
+    if memo is None:
+        memo = {}
+        object.__setattr__(sot, "_op_bounds", memo)
+    if ps not in memo:
+        memo[ps] = {id(op): _op_breaks(op, ps) for op in sot.ops}
+    return memo[ps]
+
+
+def closes(sot: SuperOpTrace, config: MachineConfig) -> bool:
+    """Does super-op replay of ``sot`` close under ``config``?
+
+    True only when the machine has a cache, the configuration is not
+    a ``subrange`` reduction on a trace that reduces (the combine
+    phase re-places instances globally), and every op compiles to a
+    piecewise program with fewer pieces than trips.  Anything else is
+    replayed flat by the caller.  The piece boundaries are memoised
+    on the trace per page size, which is all they depend on.
+    """
+    if not config.has_cache or (
+        config.reduction_strategy == "subrange" and sot.has_reductions
+    ):
+        return False
+    bounds = _op_bounds(sot, config.page_size)
+    return all(b is not None for b in bounds.values())
+
+
 class _Replay:
     """One replay pass: persistent per-PE caches + counter state."""
 
@@ -181,7 +268,6 @@ class _Replay:
         ]
         self.fallback_pes: set[int] = set()
         self.n_pieces = 0
-        self.n_flat_ops = 0
         self.closed_pe_ops = 0
         self.piece_pe_ops = 0
 
@@ -204,36 +290,21 @@ class _Replay:
                 self.ledger.cached[pe, arr] += touches - 1
                 self.ledger.miss(pe, arr, page)
 
-    def _walk_pe(
-        self, pe: int, arrs: np.ndarray, pages: np.ndarray, keys: np.ndarray
-    ) -> None:
-        """Run-length-compressed cache walk of one PE's access slice."""
-        change = np.empty(len(keys), dtype=bool)
-        change[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        lengths = np.diff(np.append(starts, len(keys)))
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            self._probe(pe, int(arrs[start]), int(pages[start]), length)
-        self.distinct[pe].append(np.unique(keys))
-
     # -- flat (residual) segments ----------------------------------------------
-    def _flat_columns(
-        self,
-        w_arr: np.ndarray,
-        w_flat: np.ndarray,
-        rpi: np.ndarray,
-        r_arr: np.ndarray,
-        r_flat: np.ndarray,
-    ) -> None:
-        """Classify + cache-walk explicit flat columns (trace order)."""
+    def _flat_segment(self, lo: int, hi: int) -> None:
+        """Classify + cache-walk one residual segment (trace order)."""
+        sot = self.sot
+        rlo, rhi = int(sot.f_r_ptr[lo]), int(sot.f_r_ptr[hi])
+        r_arr = sot.f_r_arr[rlo:rhi]
         with _phase("classify"):
-            exec_pe = self._owners(w_arr, w_flat // self.ps)
+            exec_pe = self._owners(
+                sot.f_w_arr[lo:hi], sot.f_w_flat[lo:hi] // self.ps
+            )
             self.writes += np.bincount(exec_pe, minlength=self.n_pes)
             if len(r_arr) == 0:
                 return
-            r_exec = np.repeat(exec_pe, rpi)
-            r_pages = r_flat // self.ps
+            r_exec = np.repeat(exec_pe, np.diff(sot.f_r_ptr[lo : hi + 1]))
+            r_pages = sot.f_r_flat[rlo:rhi] // self.ps
             r_owner = self._owners(r_arr, r_pages)
             local_mask = r_owner == r_exec
             self.local += np.bincount(
@@ -260,81 +331,13 @@ class _Replay:
             )
             for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                 idx = order[lo:hi]
-                self._walk_pe(
-                    int(sorted_pes[lo]),
-                    nl_arr[idx],
-                    nl_page[idx],
-                    composite[idx],
-                )
-
-    def _flat_segment(self, lo: int, hi: int) -> None:
-        sot = self.sot
-        rlo, rhi = int(sot.f_r_ptr[lo]), int(sot.f_r_ptr[hi])
-        self._flat_columns(
-            sot.f_w_arr[lo:hi],
-            sot.f_w_flat[lo:hi],
-            np.diff(sot.f_r_ptr[lo : hi + 1]),
-            sot.f_r_arr[rlo:rhi],
-            sot.f_r_flat[rlo:rhi],
-        )
-
-    def _op_as_flat(self, op: SuperOp) -> None:
-        """Degenerate op (pieces ~ trips): expand locally, walk flat."""
-        self.n_flat_ops += 1
-        m = op.trips
-        k = np.arange(m, dtype=np.int64)[:, None]
-        self._flat_columns(
-            np.tile(op.b_w_arr, m),
-            (op.b_w_flat[None, :] + k * op.w_stride[None, :]).ravel(),
-            np.tile(np.diff(op.b_r_ptr), m),
-            np.tile(op.b_r_arr, m),
-            (op.b_r_flat[None, :] + k * op.r_stride[None, :]).ravel(),
-        )
+                pe = int(sorted_pes[lo])
+                self._walk(pe, nl_arr[idx], nl_page[idx], composite[idx])
+                self.distinct[pe].append(np.unique(composite[idx]))
 
     # -- super-op segments ------------------------------------------------------
-    @staticmethod
-    def _stream_breaks(f0: int, d: int, ps: int, m: int) -> np.ndarray:
-        """Trip indices in ``(0, m)`` where ``(f0 + k*d) // ps`` steps."""
-        if d == 0 or m <= 1:
-            return np.zeros(0, dtype=np.int64)
-        first = f0 // ps
-        last = (f0 + (m - 1) * d) // ps
-        if d > 0:
-            pages = np.arange(first + 1, last + 1, dtype=np.int64)
-            # ceildiv(P*ps - f0, d): first trip on or past page P.
-            return -((f0 - pages * ps) // d)
-        pages = np.arange(first - 1, last - 1, -1, dtype=np.int64)
-        # First trip at or below page P: f0 + k*d <= (P+1)*ps - 1.
-        return -(-(f0 - (pages + 1) * ps + 1) // (-d))
-
-    def _op_breaks(self, op: SuperOp) -> np.ndarray | None:
-        """Merged piece boundaries of all streams, or None if the
-        piecewise form degenerates (about one piece per trip)."""
-        m = op.trips
-        ps = self.ps
-        # Cheap pre-gate on the breakpoint count before generating any.
-        est = 0
-        for f0, d in zip(op.b_w_flat.tolist(), op.w_stride.tolist()):
-            est += abs(d) * (m - 1) // ps + 1 if d else 0
-        for f0, d in zip(op.b_r_flat.tolist(), op.r_stride.tolist()):
-            est += abs(d) * (m - 1) // ps + 1 if d else 0
-        if est >= m:
-            return None
-        parts = [np.array([0, m], dtype=np.int64)]
-        for f0, d in zip(op.b_w_flat.tolist(), op.w_stride.tolist()):
-            parts.append(self._stream_breaks(f0, d, ps, m))
-        for f0, d in zip(op.b_r_flat.tolist(), op.r_stride.tolist()):
-            parts.append(self._stream_breaks(f0, d, ps, m))
-        boundaries = np.unique(np.concatenate(parts))
-        if len(boundaries) - 1 >= m:
-            return None
-        return boundaries
-
     def _op_segment(self, op: SuperOp) -> None:
         prog = self._op_program(op)
-        if prog is None:
-            self._op_as_flat(op)
-            return
         self.n_pieces += prog.n_pieces
         self.writes += prog.writes
         self.local += prog.local
@@ -359,30 +362,22 @@ class _Replay:
                         prog.r_pages[q],
                     )
 
-    def _op_program(self, op: SuperOp) -> "_OpProgram | None":
+    def _op_program(self, op: SuperOp) -> "_OpProgram":
         """The op compiled against this machine geometry, memoised on
-        the trace: warm replays of one stored trace compile once.
-        ``None`` marks an op whose piecewise form degenerates."""
+        the trace: warm replays of one stored trace compile once."""
         memo = self.sot.__dict__.get("_op_programs")
         if memo is None:
             memo = {}
             object.__setattr__(self.sot, "_op_programs", memo)
-        key = (
-            id(op),
-            self.ps,
-            self.n_pes,
-            type(self.config.partition).__name__,
-            self.config.partition.label,
-        )
+        key = (id(op), *_geometry(self.config))
         if key not in memo:
             with _phase("classify"):
                 memo[key] = self._compile_op(op)
         return memo[key]
 
-    def _compile_op(self, op: SuperOp) -> "_OpProgram | None":
-        boundaries = self._op_breaks(op)
-        if boundaries is None:
-            return None
+    def _compile_op(self, op: SuperOp) -> "_OpProgram":
+        # Not None: only a view that closes is compiled.
+        boundaries = _op_bounds(self.sot, self.ps)[id(op)]
         prog = _OpProgram()
         piece_len = np.diff(boundaries)
         rep = boundaries[:-1]  # representative trip per piece
@@ -594,8 +589,6 @@ class _Replay:
         capacity = self.config.cache_pages
         policy = self.config.cache_policy
         all_pes = set(prog.pe_ids.tolist())
-        if capacity == 0:
-            return all_pes
         if policy == "lru":
             decided = self._decide_lru(prog, capacity, all_pes)
         elif policy == "fifo":
@@ -846,7 +839,7 @@ class _Replay:
             seq_keys = keys[sel]
             touches = len(seq_keys)
             self.distinct[pe].append(np.unique(seq_keys))
-            self._walk_pe_trip(pe, seq_arrs, seq_pages, seq_keys)
+            self._walk(pe, seq_arrs, seq_pages, seq_keys)
             if trips == 1:
                 continue
             cache = self.caches[pe]
@@ -870,13 +863,13 @@ class _Replay:
                 # replay the remaining trips explicitly.
                 self.fallback_pes.add(pe)
                 for _ in range(trips - 1):
-                    self._walk_pe_trip(pe, seq_arrs, seq_pages, seq_keys)
+                    self._walk(pe, seq_arrs, seq_pages, seq_keys)
 
-    def _walk_pe_trip(
+    def _walk(
         self, pe: int, arrs: np.ndarray, pages: np.ndarray, keys: np.ndarray
     ) -> None:
-        """One trip of one PE's nonlocal sequence (RLE within the trip;
-        the distinct-key set is collected by the caller)."""
+        """Run-length-compressed cache walk of one PE's key sequence
+        (the distinct-key set is collected by the caller)."""
         change = np.empty(len(keys), dtype=bool)
         change[0] = True
         np.not_equal(keys[1:], keys[:-1], out=change[1:])
@@ -913,7 +906,6 @@ class _Replay:
             self.telemetry["mode"] = "superop"
             self.telemetry["superop_ops"] = len(self.sot.ops)
             self.telemetry["superop_pieces"] = self.n_pieces
-            self.telemetry["superop_flat_ops"] = self.n_flat_ops
             self.telemetry["superop_closed_pes"] = self.closed_pe_ops
             self.telemetry["superop_piece_pes"] = self.piece_pe_ops
             self.telemetry["fallback_pes"] = len(self.fallback_pes)
@@ -939,18 +931,19 @@ def replay_superops(
     """Counters of ``simulate(sot.expand(), config)``, bit-identical,
     in O(unique behavior) instead of O(trace length).
 
-    Falls back to the flat simulator wholesale for the configurations
-    whose accounting is not per-access separable here: cacheless
-    machines (distinct-page bookkeeping would dominate) and subrange
-    reductions (the combine phase re-places instances globally).  The
-    piecewise engine handles everything else; see the module docstring
-    for the exactness argument.
+    Only views that :func:`closes` are replayed piecewise; see the
+    module docstring for the exactness argument.  Any other view is
+    delegated to :func:`~repro.core.vec_simulator.simulate_vec` on the
+    expanded trace — callers that already hold the flat trace should
+    consult :func:`closes` themselves and skip the expansion.  The
+    ledger is defined for closing views only: passing one with a view
+    that does not close raises :class:`ValueError`.
     """
-    if not config.has_cache or (
-        config.reduction_strategy == "subrange" and sot.has_reductions
-    ):
-        if telemetry is not None:
-            telemetry["mode"] = "superop-expanded"
-            telemetry["fallback_pes"] = config.n_pes
-        return simulate(sot.expand(), config)
+    if not closes(sot, config):
+        if ledger is not None:
+            raise ValueError(
+                "replay_superops: no timed ledger for a view that does "
+                "not close under this configuration"
+            )
+        return simulate_vec(sot.expand(), config, telemetry)
     return _Replay(sot, config, telemetry, ledger).run()

@@ -285,14 +285,16 @@ def simulate_vec(
     """Classify every access in ``trace`` under ``config``, columnarly.
 
     Bit-identical to :func:`repro.core.simulator.simulate` on every
-    counter.  ``telemetry``, when given, receives ``vectorised_pes``
-    and ``fallback_pes`` — how many PE cache walks each path decided.
+    counter.  ``telemetry``, when given, receives ``mode`` (``"flat"``)
+    plus ``vectorised_pes`` and ``fallback_pes`` — how many PE cache
+    walks each path decided.
     """
     n_pes = config.n_pes
     ps = config.page_size
     tables = [PageTable(size, ps) for size in trace.array_sizes]
     stats = AccessStats(n_pes, trace.array_names)
     if telemetry is not None:
+        telemetry["mode"] = "flat"
         telemetry["vectorised_pes"] = 0
         telemetry["fallback_pes"] = 0
 

@@ -1289,13 +1289,30 @@ class TraceStore:
         interval = min(max(self.lease_ttl_s / 3.0, 0.02), 10.0)
         while True:
             time.sleep(interval)
-            with self._lock:
-                if not self._held_leases:
-                    self._lease_thread = None
-                    return
-            self._renew_manifest()
+            if not self._heartbeat_tick():
+                return
 
-    def _renew_manifest(self, *, force: bool = False) -> None:
+    def _heartbeat_tick(self, now: float | None = None) -> bool:
+        """One heartbeat: renew the manifest while any lease is held.
+
+        Returns whether leases are still held.  The renewal thread
+        calls this once per interval and retires itself (atomically
+        with the idle check, so a racing acquire starts a fresh
+        thread) on ``False``; tests call it directly, with ``now``
+        standing in for the wall clock, to step the heartbeat
+        deterministically.
+        """
+        with self._lock:
+            if not self._held_leases:
+                if self._lease_thread is threading.current_thread():
+                    self._lease_thread = None
+                return False
+        self._renew_manifest(now=now)
+        return True
+
+    def _renew_manifest(
+        self, *, force: bool = False, now: float | None = None
+    ) -> None:
         """Push this process's heartbeat manifest forward (one replace).
 
         ``force`` publishes unconditionally (first acquire); otherwise
@@ -1303,10 +1320,11 @@ class TraceStore:
         moments ago is left alone, and a manifest that *already
         expired* (this heartbeat stalled past the TTL) first drops the
         held leases rivals were entitled to steal in the gap — never
-        resurrect a lease a rival may have legitimately taken.
+        resurrect a lease a rival may have legitimately taken.  ``now``
+        stands in for the wall clock (see :meth:`_heartbeat_tick`).
         """
         path = self._heartbeat_path(_HOSTNAME, os.getpid())
-        now = time.time()
+        now = time.time() if now is None else now
         info = self._read_lease(path)
         own = (
             info is not None

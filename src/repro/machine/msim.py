@@ -619,13 +619,18 @@ def run_compacted(
     exact per-(PE, array) hit counts and per-(PE, page) miss counts,
     and N steady-state iterations are charged as count x latency —
     bit-identical to the event loop because every addend is an exactly
-    representable dyadic float.  Otherwise this falls back to the full
+    representable dyadic float.  Otherwise — or when the view does not
+    :func:`~repro.core.superop_replay.closes` under this geometry, so
+    there is no ledger to charge from — this falls back to the full
     :class:`TimedMachine` on the flat trace.
     """
-    from ..core.superop_replay import TimedLedger, replay_superops
+    from ..core.superop_replay import TimedLedger, closes, replay_superops
 
     costs = costs if costs is not None else CostModel()
-    if not _analytic_ok(superops, config, costs, mode):
+    if not (
+        _analytic_ok(superops, config, costs, mode)
+        and closes(superops, config)
+    ):
         return TimedMachine(
             trace,
             config,

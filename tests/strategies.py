@@ -31,11 +31,13 @@ from repro.ir.trace import Trace, TraceBuilder
 
 __all__ = [
     "CACHE_POLICIES",
+    "PAGE_SIZES",
     "PARTITIONS",
     "REDUCTION_STRATEGIES",
     "cyclic_traces",
     "machine_configs",
     "scenarios",
+    "strided_traces",
     "sweep_traces",
     "traces",
 ]
@@ -43,6 +45,7 @@ __all__ = [
 PARTITIONS = ("modulo", "block", "block-cyclic:2", "block-cyclic:4")
 CACHE_POLICIES = ("lru", "fifo", "random", "direct")
 REDUCTION_STRATEGIES = ("host", "subrange")
+PAGE_SIZES = (2, 4, 8, 16, 32)
 
 
 @st.composite
@@ -60,7 +63,7 @@ def machine_configs(
     """
     return MachineConfig(
         n_pes=draw(st.integers(min_value=1, max_value=max_pes)),
-        page_size=draw(st.sampled_from((2, 4, 8, 16, 32))),
+        page_size=draw(st.sampled_from(PAGE_SIZES)),
         # 2-element caches (capacity 1 at the smallest page size) put
         # maximum eviction pressure on the FIFO/LRU closed forms.
         cache_elems=draw(st.sampled_from((0, 2, 4, 8, 16, 32, 64, 256))),
@@ -388,4 +391,58 @@ def cyclic_traces(
             if not is_red:
                 completed.append((w_arr, w_flat))
         emit_noise()
+    return builder.freeze()
+
+
+@st.composite
+def strided_traces(draw, *, min_stride: int = max(PAGE_SIZES)) -> Trace:
+    """A trace whose super-op view never closes under any drawn page size.
+
+    One cyclic block reads a pure-input array with a stride of at
+    least ``min_stride`` elements per trip — at least a page per trip
+    at every page size :func:`machine_configs` draws, so its op's
+    piecewise form has as many pieces as trips (the shape of
+    ``linear_recurrence``'s column sweeps on the paper grid).  An
+    optional second block sweeps another input array at unit stride,
+    an op that may well close on its own, so a view can also fail on
+    one op of several.  Irregular instances around the blocks stay in
+    the residual.  Writes are single-assignment and reads touch only
+    pure-input arrays, so the trace is timed-safe and no array is both
+    written and read (the timed analytic guard's precondition).
+    """
+    trips = draw(st.integers(min_value=4, max_value=12))
+    stride = draw(st.integers(min_stride, 2 * min_stride))
+    body_len = draw(st.integers(min_value=1, max_value=3))
+    unit_trips = draw(st.sampled_from((0, 0, 8, 24, 48)))
+    n_noise = draw(st.integers(min_value=0, max_value=4))
+    span = stride * (trips - 1)
+    n_src = span + body_len + draw(st.integers(0, 16))
+    n_out = trips * body_len + unit_trips + 2 * n_noise
+    builder = TraceBuilder(("out", "src", "aux"), (n_out, n_src, 64))
+    next_out = iter(range(n_out))
+
+    def noise() -> None:
+        for _ in range(draw(st.integers(0, n_noise))):
+            builder.record_read(1, draw(st.integers(0, n_src - 1)))
+            builder.commit_instance(3, 0, next(next_out), False)
+
+    def unit_block() -> None:
+        base = draw(st.integers(0, 63 - unit_trips)) if unit_trips else 0
+        for k in range(unit_trips):
+            builder.record_read(2, base + k)
+            builder.commit_instance(2, 0, next(next_out), False)
+
+    descending = draw(st.booleans())
+    unit_first = draw(st.booleans())
+    noise()
+    if unit_first:
+        unit_block()
+    for k in range(trips):
+        step = span - k * stride if descending else k * stride
+        for j in range(body_len):
+            builder.record_read(1, step + j)
+            builder.commit_instance(j, 0, next(next_out), False)
+    if not unit_first:
+        unit_block()
+    noise()
     return builder.freeze()

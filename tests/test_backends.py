@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -235,6 +237,64 @@ class TestUntimedBackend:
         assert outcome.metrics["page_fetches"] == float(
             direct.page_fetches.sum()
         )
+
+
+class TestOutcomeIdentity:
+    """``identical()`` compares physics: a result must not depend on the
+    engine path that computed it, and telemetry says only which path."""
+
+    @pytest.fixture(scope="class")
+    def degenerate_point(self):
+        from repro.bench import kernel_trace
+        from repro.ir.superops import compact
+        from repro.kernels import get_kernel
+
+        trace = kernel_trace(*get_kernel("linear_recurrence").build(n=40))
+        sot = compact(trace)
+        scenario = Scenario(
+            config=config(n_pes=8, cache_elems=256), backend="untimed-vec"
+        )
+        flat = evaluate_scenario(trace, scenario)
+        trace.attach_superops(sot)
+        via_ops = evaluate_scenario(trace, scenario)
+        return flat, via_ops
+
+    def test_super_op_and_flat_outcomes_identical(self, degenerate_point):
+        flat, via_ops = degenerate_point
+        assert flat.identical(via_ops)
+
+    def test_telemetry_columns_are_not_physics(self, degenerate_point):
+        flat, via_ops = degenerate_point
+        assert get_backend("untimed-vec").telemetry_metrics == (
+            "vec_fallback_pes",
+        )
+        other = dataclasses.replace(
+            via_ops,
+            metrics={
+                **via_ops.metrics,
+                "vec_fallback_pes": via_ops.metrics["vec_fallback_pes"] + 1,
+                "profile_cache_sim_s": 0.25,
+            },
+        )
+        assert flat.identical(other) and other.identical(flat)
+        assert "vec_fallback_pes" not in other.physics_metrics()
+
+    def test_a_changed_counter_still_differs(self, degenerate_point):
+        flat, via_ops = degenerate_point
+        stats = copy.deepcopy(via_ops.stats)
+        stats.counts[0, 0] += 1
+        assert not flat.identical(dataclasses.replace(via_ops, stats=stats))
+        fetches = via_ops.metrics["page_fetches"] + 1
+        assert not flat.identical(
+            dataclasses.replace(
+                via_ops, metrics={**via_ops.metrics, "page_fetches": fetches}
+            )
+        )
+        per_pe = {
+            name: values.copy() for name, values in via_ops.per_pe.items()
+        }
+        per_pe["page_fetches"][0] += 1
+        assert not flat.identical(dataclasses.replace(via_ops, per_pe=per_pe))
 
 
 class TestTimedBackend:

@@ -38,6 +38,12 @@ def ctx() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else None)
 
 
+@pytest.fixture
+def manual_heartbeat(monkeypatch):
+    """No renewal thread: the test steps ``_heartbeat_tick`` itself."""
+    monkeypatch.setattr(TraceStore, "_ensure_lease_heartbeat", lambda self: None)
+
+
 def write_lease(
     store: TraceStore,
     ref: str,
@@ -167,15 +173,38 @@ class TestLeaseFiles:
         store.release_lease("1b" * 10)
         assert path.is_file()  # not ours: left in place
 
-    def test_heartbeat_renews_held_leases(self, tmp_path):
-        store = TraceStore(tmp_path, lease_ttl_s=0.3)
+    def test_heartbeat_renews_held_leases(self, tmp_path, manual_heartbeat):
+        store = TraceStore(tmp_path, lease_ttl_s=30.0)
         assert store.acquire_lease("2c" * 10)
         first = store.lease_holder("2c" * 10)["expires"]
-        time.sleep(0.6)  # two renewal intervals past the original TTL
+        # Two renewal intervals on, with a third of the TTL left.
+        assert store._heartbeat_tick(now=time.time() + 20.0)
         info = store.lease_holder("2c" * 10)
         assert info is not None, "lease expired despite the heartbeat"
         assert info["expires"] > first
         store.release_lease("2c" * 10)
+        assert not store._heartbeat_tick()  # idle: the thread would exit
+
+    def test_heartbeat_thread_ticks_until_idle(self, tmp_path, monkeypatch):
+        """The renewal thread drives the same tick the tests step by
+        hand, and retires itself once no lease is held."""
+        ticks: list[bool] = []
+        tick = TraceStore._heartbeat_tick
+
+        def counted(self, now=None):
+            ticks.append(tick(self, now))
+            return ticks[-1]
+
+        monkeypatch.setattr(TraceStore, "_heartbeat_tick", counted)
+        store = TraceStore(tmp_path, lease_ttl_s=0.06)
+        assert store.acquire_lease("2f" * 10)
+        thread = store._lease_thread
+        assert thread is not None and thread.is_alive()
+        store.release_lease("2f" * 10)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert ticks and ticks[-1] is False
+        assert store._lease_thread is None
 
     def test_trace_and_result_leases_do_not_collide(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -311,18 +340,21 @@ class TestLeaseEventLog:
         assert count_events(events, "lease.expire") == 0
 
     def test_heartbeat_renewal_logged_exactly_once(
-        self, tmp_path, obs_stem
+        self, tmp_path, obs_stem, manual_heartbeat
     ):
-        # ttl=3.0 → heartbeat ticks every 1.0s and every tick finds
-        # remaining < 2/3·ttl, so holding for ~1.5s spans exactly one
-        # renewal window.  The renewal is the per-process manifest —
-        # ONE event (and one file replace) regardless of how many
-        # leases the process holds.
+        # ttl=3.0 → heartbeat ticks every 1.0s, and a tick one interval
+        # after the acquire finds remaining < 2/3·ttl and renews; a
+        # second tick at the same instant finds the manifest fresh.
+        # The renewal is the per-process manifest — ONE event (and one
+        # file replace) regardless of how many leases the process
+        # holds.
         store = TraceStore(tmp_path / "store", lease_ttl_s=3.0)
         refs = ["2c" * 10, "2d" * 10, "2e" * 10]
         for ref in refs:
             assert store.acquire_lease(ref)
-        time.sleep(1.5)
+        one_interval = time.time() + 1.0
+        assert store._heartbeat_tick(now=one_interval)
+        assert store._heartbeat_tick(now=one_interval)
         for ref in refs:
             store.release_lease(ref)
         events = merged_events(obs_stem)

@@ -15,27 +15,39 @@ This suite holds the whole stack to that contract generatively —
 ``tests/strategies.py`` draws traces with reductions, future reads,
 imperfect tails and nested cycles (``cyclic_traces``) — plus
 deterministic detector unit tests, the store-format-v2 round trip and
-the backend-dispatch envelope.  The nightly ``vec-fuzz`` CI job
+the backend-dispatch envelope.  Views that do not close under a
+machine geometry (``strided_traces``: a stream stepping a page or more
+per trip) must never be replayed op by op: every backend routes them
+to its flat engine, bit-identically.  The nightly ``vec-fuzz`` CI job
 re-runs it at the ``ci-deep`` hypothesis profile.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import Scenario, evaluate_scenario
+from repro.backends import Scenario, evaluate_scenario, untimed, untimed_vec
 from repro.bench import kernel_trace
 from repro.core import MachineConfig, simulate, simulate_vec
-from repro.core.superop_replay import replay_superops
+from repro.core import superop_replay
+from repro.core.superop_replay import TimedLedger, closes, replay_superops
 from repro.ir import TraceBuilder
 from repro.ir.superops import SuperOpTrace, compact
 from repro.kernels import get_kernel
 from repro.machine import CostModel, TimedMachine
-from repro.machine.msim import run_compacted
-from strategies import cyclic_traces, machine_configs, sweep_traces
+from repro.machine.msim import _analytic_ok, run_compacted
+from strategies import (
+    cyclic_traces,
+    machine_configs,
+    strided_traces,
+    sweep_traces,
+)
 
 # Local floor of 200 generated examples; the nightly ci-deep profile
 # raises settings.default.max_examples past it.
@@ -106,6 +118,13 @@ class TestUntimedFidelity:
         )
 
 
+# Three-sweep views compact their third sweep into a 3-statement
+# stride-3 op whose streams step about a page per trip at page size 16,
+# so such views do not close there; at 64 every drawn view closes and
+# the warm-cache tests assert their decisions on every draw.
+_SWEEP_PAGE = 64
+
+
 class TestClosedFormCoverage:
     """The FIFO and warm-LRU closed forms actually *run* — telemetry
     proves the decisions took the columnar path, not the per-piece
@@ -122,8 +141,13 @@ class TestClosedFormCoverage:
         sot = compact(trace, min_trips=4, max_period=8)
         assert len(sot.ops) >= 2
         config = MachineConfig(
-            n_pes=2, page_size=16, cache_elems=128, cache_policy="lru"
+            n_pes=2,
+            page_size=_SWEEP_PAGE,
+            cache_elems=512,
+            cache_policy="lru",
         )
+        assert config.cache_pages == 8
+        assert closes(sot, config)
         telemetry: dict[str, int] = {}
         assert_sim_identical(
             simulate(trace, config),
@@ -161,14 +185,119 @@ class TestClosedFormCoverage:
         the per-piece walk, bit-identically."""
         sot = compact(trace, min_trips=4, max_period=8)
         config = MachineConfig(
-            n_pes=2, page_size=16, cache_elems=32, cache_policy="fifo"
+            n_pes=2,
+            page_size=_SWEEP_PAGE,
+            cache_elems=128,
+            cache_policy="fifo",
         )
+        assert config.cache_pages == 2
+        assert closes(sot, config)
         telemetry: dict[str, int] = {}
         assert_sim_identical(
             simulate(trace, config),
             replay_superops(sot, config, telemetry=telemetry),
         )
         assert telemetry["superop_piece_pes"] > 0
+
+
+@contextlib.contextmanager
+def untimed_routes():
+    """Spy on the engines both untimed backends can replay through."""
+    targets = {
+        "untimed_vec.replay_superops": (untimed_vec, "replay_superops"),
+        "untimed_vec.simulate_vec": (untimed_vec, "simulate_vec"),
+        "untimed.replay_superops": (untimed, "replay_superops"),
+        "untimed.simulate": (untimed, "simulate"),
+    }
+    with contextlib.ExitStack() as stack:
+        yield {
+            key: stack.enter_context(
+                mock.patch.object(module, name, wraps=getattr(module, name))
+            )
+            for key, (module, name) in targets.items()
+        }
+
+
+class TestViewsThatDoNotClose:
+    """A view with an op that steps a page or more per trip does not
+    close: every caller replays the flat trace instead of the view,
+    bit-identically to the scalar oracle."""
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(trace=strided_traces(), config=machine_configs())
+    def test_backends_take_the_flat_route(self, trace, config):
+        sot = compact(trace, min_trips=2, max_period=8)
+        assert sot.ops and not closes(sot, config)
+        oracle = simulate(trace, config)
+        trace.attach_superops(sot)
+        try:
+            with untimed_routes() as routes:
+                outcomes = [
+                    evaluate_scenario(
+                        trace, Scenario(config=config, backend=backend)
+                    )
+                    for backend in ("untimed-vec", "untimed")
+                ]
+        finally:
+            trace.attach_superops(None)
+        assert routes["untimed_vec.replay_superops"].call_count == 0
+        assert routes["untimed.replay_superops"].call_count == 0
+        (vec_call,) = routes["untimed_vec.simulate_vec"].call_args_list
+        (scalar_call,) = routes["untimed.simulate"].call_args_list
+        # The flat trace the backend already holds, not an expansion.
+        assert vec_call.args[0] is trace and scalar_call.args[0] is trace
+        assert vec_call.args[2]["mode"] == "flat"
+        for outcome in outcomes:
+            assert np.array_equal(outcome.stats.counts, oracle.stats.counts)
+            assert np.array_equal(
+                outcome.stats.by_array, oracle.stats.by_array
+            )
+            assert np.array_equal(
+                outcome.per_pe["page_fetches"], oracle.page_fetches
+            )
+            assert np.array_equal(
+                outcome.per_pe["distinct_pages_fetched"],
+                oracle.distinct_pages_fetched,
+            )
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(trace=strided_traces(), config=machine_configs())
+    def test_direct_replay_delegates(self, trace, config):
+        sot = compact(trace, min_trips=2, max_period=8)
+        telemetry: dict[str, int] = {}
+        assert_sim_identical(
+            simulate(trace, config),
+            replay_superops(sot, config, telemetry=telemetry),
+        )
+        assert telemetry["mode"] == "flat"
+        ledger = TimedLedger(config.n_pes, len(sot.array_names))
+        with pytest.raises(ValueError, match="does not close"):
+            replay_superops(sot, config, ledger=ledger)
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(
+        trace=strided_traces(),
+        config=machine_configs(max_pes=8).filter(lambda c: c.has_cache),
+        topology=st.sampled_from(("crossbar", "ring", "bus")),
+    )
+    def test_timed_falls_back_to_the_event_loop(
+        self, trace, config, topology
+    ):
+        """Analytic timing needs the replay ledger, which only a
+        closing view yields: such a view passes ``_analytic_ok`` yet
+        must be timed by the event loop."""
+        sot = compact(trace, min_trips=2, max_period=8)
+        assert _analytic_ok(sot, config, CostModel(), "blocking")
+        assert not closes(sot, config)
+        flat = TimedMachine(trace, config, topology=topology).run()
+        with mock.patch.object(
+            TimedMachine, "run", autospec=True, side_effect=TimedMachine.run
+        ) as event_loop, mock.patch.object(
+            superop_replay, "replay_superops", side_effect=AssertionError
+        ):
+            compacted = run_compacted(trace, sot, config, topology=topology)
+        assert event_loop.call_count == 1
+        assert_timed_identical(flat, compacted)
 
 
 class TestTimedFidelity:
@@ -350,11 +479,5 @@ class TestBackendDispatch:
             via_ops = evaluate_scenario(stencil, scenario)
         finally:
             stencil.attach_superops(None)
-        assert np.array_equal(flat.stats.counts, via_ops.stats.counts)
-        assert np.array_equal(flat.stats.by_array, via_ops.stats.by_array)
-        for name, values in flat.per_pe.items():
-            assert np.array_equal(values, via_ops.per_pe[name])
-        for name, value in flat.metrics.items():
-            if name == "vec_fallback_pes":
-                continue  # engines count their fallbacks differently
-            assert via_ops.metrics[name] == value, name
+        # Physics only: the engines count their fallbacks differently.
+        assert flat.identical(via_ops)

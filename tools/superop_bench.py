@@ -18,6 +18,12 @@ than half of its committed speedup (timings are noisy on shared
 runners; halving is a collapse, not jitter), and compression — which
 is deterministic — must hold to the same floor.
 
+The routing rows guard the other side of the trade: a paper-geometry
+``linear_recurrence`` point, whose view does not close (every op
+steps a page per trip), must reach the default backend's flat
+columnar replay without a single super-op replay call — a count, not
+a timing — and with counters bit-identical to the scalar engine.
+
 Usage::
 
     python tools/superop_bench.py --out BENCH_superops.json    # regenerate
@@ -91,11 +97,37 @@ def cases() -> tuple[dict, ...]:
     )
 
 
+def routing_cases() -> tuple[dict, ...]:
+    """Paper-grid points (the kernel's default size, a paper PE count,
+    page size and cache) whose view must take the flat route."""
+    return (
+        {
+            "name": "linear_recurrence",
+            "n": 256,
+            "pes": 8,
+            "page_size": 32,
+            "cache_elems": 256,
+            "policy": "lru",
+        },
+    )
+
+
 def _case_key(case: dict) -> str:
     return (
         f"{case['name']}[n={case['n']},pes={case['pes']},"
         f"ps={case['page_size']},cache={case['cache_elems']},"
         f"{case['policy']}]"
+    )
+
+
+def _config(case: dict):
+    from repro.core import MachineConfig
+
+    return MachineConfig(
+        n_pes=case["pes"],
+        page_size=case["page_size"],
+        cache_elems=case["cache_elems"],
+        cache_policy=case["policy"],
     )
 
 
@@ -112,7 +144,7 @@ def run_cases() -> list[dict]:
     import numpy as np
 
     from repro.bench import kernel_trace
-    from repro.core import MachineConfig, simulate
+    from repro.core import simulate
     from repro.core.superop_replay import replay_superops
     from repro.ir.superops import compact
     from repro.kernels import get_kernel
@@ -127,12 +159,7 @@ def run_cases() -> list[dict]:
             raise AssertionError(
                 f"{_case_key(case)}: stencil sweep failed to compact"
             )
-        config = MachineConfig(
-            n_pes=case["pes"],
-            page_size=case["page_size"],
-            cache_elems=case["cache_elems"],
-            cache_policy=case["policy"],
-        )
+        config = _config(case)
         flat = simulate(trace, config)
         telemetry: dict[str, int] = {}
         via_ops = replay_superops(superops, config, telemetry=telemetry)
@@ -182,11 +209,64 @@ def run_cases() -> list[dict]:
     return rows
 
 
-def document(rows: list[dict]) -> dict:
+def run_routing() -> list[dict]:
+    """Route each routing case through the default backend, counting
+    super-op replay calls, and compare counters with the scalar engine."""
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.backends import Scenario, evaluate_scenario, untimed_vec
+    from repro.bench import kernel_trace
+    from repro.core import simulate
+    from repro.core.superop_replay import closes
+    from repro.ir.superops import compact
+    from repro.kernels import get_kernel
+
+    rows = []
+    for case in routing_cases():
+        program, inputs = get_kernel(case["name"]).build(n=case["n"])
+        trace = kernel_trace(program, inputs)
+        superops = compact(trace)
+        config = _config(case)
+        flat = simulate(trace, config)
+        trace.attach_superops(superops)
+        with mock.patch.object(
+            untimed_vec, "replay_superops", wraps=untimed_vec.replay_superops
+        ) as replays:
+            outcome = evaluate_scenario(
+                trace, Scenario(config=config, backend="untimed-vec")
+            )
+        rows.append(
+            {
+                "case": _case_key(case),
+                "n_ops": len(superops.ops),
+                "closes": closes(superops, config),
+                "superop_replays": replays.call_count,
+                "identical": bool(
+                    np.array_equal(flat.stats.counts, outcome.stats.counts)
+                    and np.array_equal(
+                        flat.stats.by_array, outcome.stats.by_array
+                    )
+                    and np.array_equal(
+                        flat.page_fetches, outcome.per_pe["page_fetches"]
+                    )
+                    and np.array_equal(
+                        flat.distinct_pages_fetched,
+                        outcome.per_pe["distinct_pages_fetched"],
+                    )
+                ),
+            }
+        )
+    return rows
+
+
+def document(rows: list[dict], routing: list[dict]) -> dict:
     return {
         "schema": 1,
         "fast": fast(),
         "cases": rows,
+        "routing": routing,
         "headline_speedup": max(row["speedup"] for row in rows),
         "headline_compression": max(row["compression"] for row in rows),
     }
@@ -214,6 +294,22 @@ def check(baseline: dict, current: dict) -> list[str]:
                     f"{floor:.2f}x (baseline {base[metric]:.2f}x, "
                     f"retain {RETAIN:.0%})"
                 )
+    base_routes = {row["case"] for row in baseline.get("routing", ())}
+    cur_routes = {row["case"]: row for row in current.get("routing", ())}
+    if base_routes != set(cur_routes):
+        failures.append(
+            f"routing case set changed: baseline {sorted(base_routes)} vs "
+            f"current {sorted(cur_routes)}"
+        )
+    for key, row in cur_routes.items():
+        if row["superop_replays"]:
+            failures.append(
+                f"{key}: the default path ran super-op replay "
+                f"{row['superop_replays']} time(s) on a view that does "
+                "not close"
+            )
+        if not row["identical"]:
+            failures.append(f"{key}: counters differ from the scalar engine")
     return failures
 
 
@@ -228,13 +324,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    doc = document(run_cases())
+    doc = document(run_cases(), run_routing())
     for row in doc["cases"]:
         print(
             f"  {row['case']:<52} flat {row['flat_s']:>8.4f}s  "
             f"superop {row['superop_s']:>8.4f}s  {row['speedup']:>7.2f}x  "
             f"bytes {row['flat_bytes']:>9}->{row['superop_bytes']:<7} "
             f"{row['compression']:>6.2f}x"
+        )
+    for row in doc["routing"]:
+        print(
+            f"  {row['case']:<52} closes {row['closes']!s:<5}  "
+            f"super-op replays {row['superop_replays']}  "
+            f"identical {row['identical']}"
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
