@@ -36,13 +36,25 @@ but embeds them in a discrete-event model with
   contention the untimed model only *counts* feeds back into
   completion time (``contention_delay_cycles`` in the result).
 
-Determinism: all event ties break on scheduling order; repeated runs
-produce identical cycle counts.
+Determinism: every event is a tuple ``(time, seq, kind, a, b)`` on one
+:class:`~repro.machine.event.EventQueue` heap — a PE burst, a fetch
+completion, a subrange combine, or a per-link reservation.  A message
+carries its continuation as data (a *step* code plus the fetch record or
+gather it belongs to), never as a closure, and the uncontended network
+is plain synchronous accounting over memoised routes.  Ties in ``time``
+break on ``seq``, the global scheduling order, and that order is part
+of the physics, not bookkeeping: which of two simultaneous events runs
+first decides which PE counts a write first, whether a page snapshot
+predates a write (and so whether a later read refetches), whether a
+request defers, and — under per-link contention — which message queues
+behind which.  Events are therefore scheduled in exactly the order of
+the reference loop in ``tests/timed_reference.py``, which the fidelity
+suite holds this one to field for field, and repeated runs produce
+identical cycle counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +80,37 @@ __all__ = ["TimedMachine", "TimedResult", "run_compacted", "serial_time"]
 
 Cell = int  # composite (array_id << 44) | flat
 
+# Event kinds, the ``kind`` of a heap entry ``(time, seq, kind, a, b)``.
+_BURST = 0  # a = PE: run it until it parks or runs out of work
+_FETCH_DONE = 1  # a = fetch record, b = reply arrival time
+_COMBINE = 2  # a = accumulator cell, b = its SubrangeGroup
+_RESERVE = 3  # a = (src, dst, payload, step, occupancy), b = step data
+
+# Message steps: what a message does when it lands.  Odd steps are
+# replies (latency grows with the payload), even steps are requests.
+_PAGE_REQUEST = 0  # data = fetch record
+_PAGE_REPLY = 1  # data = fetch record
+_PARTIAL_REQUEST = 2  # data = (_Gather, contributor)
+_PARTIAL_REPLY = 3  # data = _Gather
+
+# A fetch record is the tuple
+# ``(pe, instance, cursor, page key, cell, owner, page elements)``:
+# the parked context is ``(instance, cursor)``, ``cursor`` being the
+# absolute index of the read the reply satisfies.
+
+_LOCAL = int(AccessKind.LOCAL_READ)
+_CACHED = int(AccessKind.CACHED_READ)
+_REMOTE = int(AccessKind.REMOTE_READ)
+_WRITE = int(AccessKind.WRITE)
+
 
 def _cell(arr: int, flat: int) -> Cell:
     return (arr << 44) | flat
+
+
+def _view(column: np.ndarray) -> memoryview:
+    """Zero-copy view whose items index as plain Python ints."""
+    return memoryview(np.ascontiguousarray(column))
 
 
 @dataclass
@@ -103,12 +143,16 @@ class TimedResult:
         return serial_time / self.finish_time if self.finish_time else 1.0
 
 
-@dataclass
-class _Context:
-    """One in-flight statement instance on a PE (multithreaded mode)."""
+class _Gather:
+    """One accumulator's combine in flight at its host."""
 
-    local_idx: int        # index into the PE's instance list
-    read_cursor: int = 0  # how many reads are already satisfied
+    __slots__ = ("cell", "group", "latest", "waiting")
+
+    def __init__(self, cell: Cell, group: SubrangeGroup, start: float, waiting: int):
+        self.cell = cell
+        self.group = group
+        self.latest = start  # latest arrival so far (the gather's start)
+        self.waiting = waiting  # partials still in flight
 
 
 class TimedMachine:
@@ -126,6 +170,8 @@ class TimedMachine:
     ) -> None:
         if mode not in ("blocking", "multithreaded"):
             raise ValueError(f"unknown mode {mode!r}")
+        if max_outstanding < 1:
+            raise ValueError("max_outstanding must be at least 1")
         self.trace = trace
         self.config = config
         self.costs = costs if costs is not None else CostModel()
@@ -140,25 +186,38 @@ class TimedMachine:
             raise ValueError("topology size disagrees with config")
         self.queue = EventQueue()
         self.stats = AccessStats(config.n_pes, trace.array_names)
-        self.tables = [
-            PageTable(size, config.page_size) for size in trace.array_sizes
-        ]
+        self.tables = [PageTable(size, config.page_size) for size in trace.array_sizes]
         with _phase("setup"):
             self._build_placement()
+            self._build_columns()
             self._build_memory_state()
-        self._pes = [PEState(pe) for pe in range(config.n_pes)]
-        for idx, pe in enumerate(self.exec_pe):
-            self._pes[pe].instances.append(idx)
+        n_pes = config.n_pes
+        self._has_cache = config.has_cache
+        self._contended = self.costs.contended
         self._caches: list[PageCache] = [
-            make_cache(config.cache_policy, config.cache_pages)
-            for _ in range(config.n_pes)
+            make_cache(config.cache_policy, config.cache_pages) for _ in range(n_pes)
         ]
         self._fetch_time: list[dict[tuple[int, int], float]] = [
-            {} for _ in range(config.n_pes)
+            {} for _ in range(n_pes)
         ]
-        self._ready: list[deque[_Context]] = [deque() for _ in range(config.n_pes)]
-        self._outstanding = [0] * config.n_pes
-        self._burst_scheduled = [False] * config.n_pes
+        # Contexts resumed by a reply, as (instance, read cursor).  A
+        # stack: the latest resumed context runs before anything else.
+        self._resumed: list[list[tuple[int, int]]] = [[] for _ in range(n_pes)]
+        # Per PE, how many of its instances have started.
+        self._started = [0] * n_pes
+        self._outstanding = [0] * n_pes
+        self._burst_scheduled = [False] * n_pes
+        # Access counters as plain ints, folded into ``stats`` by run():
+        # reads and combine writes per (kind, PE, array); an instance's
+        # write carries no array id, so it is counted per PE only.
+        self._n_arrays = len(trace.array_names)
+        self._kind_stride = n_pes * self._n_arrays
+        self._tally = [0] * (len(AccessKind) * self._kind_stride)
+        self._instance_writes = [0] * n_pes
+        # src * n_pes + dst -> (hops, links, request latency, reply
+        # latency before payload); see _route.
+        self._routes: dict[int, tuple[int, tuple, float, float]] = {}
+        self._page_elems: dict[tuple[int, int], int] = {}
         self.messages = 0
         self.total_hops = 0
         self.refetches = 0
@@ -176,9 +235,7 @@ class TimedMachine:
         # which PEs reduce together (and therefore on every counter).
         self._combine_of: dict[Cell, SubrangeGroup] = {}
         if cfg.reduction_strategy == "subrange" and tr.reduction_mask.any():
-            self.exec_pe = subrange_placement(
-                tr, self.tables, cfg, self.exec_pe
-            )
+            self.exec_pe = subrange_placement(tr, self.tables, cfg, self.exec_pe)
             self._combine_of = {
                 _cell(g.array_id, g.flat): g
                 for g in subrange_groups(tr, self.tables, cfg, self.exec_pe)
@@ -189,56 +246,67 @@ class TimedMachine:
         )
         self.r_pages = r_pages
 
+    def _build_columns(self) -> None:
+        """Zero-copy per-access columns and each PE's instance list."""
+        tr = self.trace
+        self._r_ptr = _view(tr.r_ptr)
+        self._r_arr = _view(tr.r_arr)
+        self._r_flat = _view(tr.r_flat)
+        self._r_pages = _view(self.r_pages)
+        self._r_owner = _view(self.r_owner)
+        # Each PE's instances in trace order: one stable sort, sliced.
+        order = _view(np.argsort(self.exec_pe, kind="stable"))
+        per_pe = np.bincount(self.exec_pe, minlength=self.config.n_pes)
+        ends = np.cumsum(per_pe).tolist()
+        self._pes = [
+            PEState(pe, instances=order[lo:hi])
+            for pe, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends))
+        ]
+
     def _build_memory_state(self) -> None:
         """Per-cell write bookkeeping for deferred reads & partial pages."""
         tr = self.trace
-        self._writes_needed: dict[Cell, int] = {}
-        for i in range(tr.n_instances):
-            cell = _cell(int(tr.w_arr[i]), int(tr.w_flat[i]))
-            self._writes_needed[cell] = self._writes_needed.get(cell, 0) + 1
-        # A subrange accumulator only becomes defined when its host's
-        # combine performs the final write — one write beyond the
-        # trace's folds — so readers defer until the gather completes.
+        w_cell = (tr.w_arr.astype(np.int64) << 44) | tr.w_flat
+        self._w_cell = _view(w_cell)
+        cells, counts = np.unique(w_cell, return_counts=True)
+        cells = cells.tolist()
+        # Writes each cell still awaits.  A subrange accumulator only
+        # becomes defined when its host's combine performs the final
+        # write — one write beyond the trace's folds — so readers defer
+        # until the gather completes.
+        self._writes_left: dict[Cell, int] = dict(zip(cells, counts.tolist()))
         for cell in self._combine_of:
-            self._writes_needed[cell] += 1
+            self._writes_left[cell] += 1
+        # When each written cell became fully defined: None until then.
+        # Cells never written are initialisation data (§3), available
+        # from time 0, so ``_write_time.get(cell, 0.0)`` is the cell's
+        # availability.
+        self._write_time: dict[Cell, float | None] = dict.fromkeys(cells)
         # When each accumulator's last trace write *completes* in
         # simulated time (bursts run far ahead of queue.now, so the
         # counting order alone must not time the gather).
         self._acc_write_time: dict[Cell, float] = {}
-        self._writes_done: dict[Cell, int] = {}
-        self._write_time: dict[Cell, float] = {}
-        # Deferred reads parked per cell: (request arrival time, deliver fn).
+        # Deferred reads parked per cell: (request arrival, fetch record).
         self._deferred: dict[Cell, list] = {}
-
-    # -- cell availability --------------------------------------------------------
-    def _available_at(self, cell: Cell) -> float | None:
-        """Time the cell became fully defined, or None if not yet.
-
-        Cells never written by the trace are initialisation data (§3)
-        and are available from time 0.
-        """
-        needed = self._writes_needed.get(cell)
-        if needed is None:
-            return 0.0
-        if self._writes_done.get(cell, 0) >= needed:
-            return self._write_time[cell]
-        return None
 
     # -- main loop -------------------------------------------------------------
     def run(self) -> TimedResult:
-        for pe in range(self.config.n_pes):
-            state = self._pes[pe]
-            self._ready[pe].extend(
-                _Context(local_idx=i) for i in range(len(state.instances))
-            )
+        n_pes = self.config.n_pes
+        for pe in range(n_pes):
             self._schedule_burst(pe, 0.0)
+        handlers = (self._burst, self._fetch_done, self._combine, self._reserve)
         with _phase("event_loop"):
-            self.queue.run(max_events=20_000_000)
-        per_pe_finish = np.asarray(
-            [pe_state.busy_until for pe_state in self._pes]
-        )
-        if any(self._ready) or any(self._outstanding):
+            self.queue.run(handlers, max_events=20_000_000)
+        # Every instance ends in exactly one write; any missing one is
+        # still parked (on a fetch or a deferred read) or never ran.
+        if sum(self._instance_writes) != self.trace.n_instances:
             raise RuntimeError("simulation drained with unfinished work")
+        shape = (len(AccessKind), n_pes, self._n_arrays)
+        tally = np.asarray(self._tally, dtype=np.int64).reshape(shape)
+        self.stats.counts += tally.sum(axis=2).T
+        self.stats.counts[:, _WRITE] += self._instance_writes
+        self.stats.by_array += tally.sum(axis=1).T
+        per_pe_finish = np.asarray([state.busy_until for state in self._pes])
         return TimedResult(
             config=self.config,
             topology=self.topology.name,
@@ -246,7 +314,7 @@ class TimedMachine:
             finish_time=float(per_pe_finish.max(initial=0.0)),
             per_pe_finish=per_pe_finish,
             stats=self.stats,
-            stall_time=np.asarray([p.stall_time for p in self._pes]),
+            stall_time=np.asarray([state.stall_time for state in self._pes]),
             messages=self.messages,
             total_hops=self.total_hops,
             refetches=self.refetches,
@@ -254,233 +322,283 @@ class TimedMachine:
             contention=self.topology.contention_summary(),
         )
 
+    def _count(self, kind: int, pe: int, arr: int) -> None:
+        self._tally[kind * self._kind_stride + pe * self._n_arrays + arr] += 1
+
     def _schedule_burst(self, pe: int, at: float) -> None:
         if self._burst_scheduled[pe]:
             return
         self._burst_scheduled[pe] = True
-        self.queue.schedule(max(at, self.queue.now), lambda: self._burst(pe))
+        self.queue.schedule(max(at, self.queue.now), _BURST, pe)
 
-    def _burst(self, pe: int) -> None:
-        """Run the PE until it has no ready work or saturates outstanding."""
+    def _burst(self, pe: int, _: object = None) -> None:
+        """Run the PE until it has no ready work or saturates outstanding.
+
+        Contexts run in the order resumed-first (latest resumed on
+        top), then never-started instances in trace order.  Each read
+        is local, a valid cache hit, or parks its context on a page
+        fetch; a completed instance computes and writes.  The PE's
+        clock lives in ``busy`` and is written back before anything
+        that reads it.
+        """
         self._burst_scheduled[pe] = False
-        ready = self._ready[pe]
-        while ready:
-            ctx = ready.popleft()
-            if not self._execute(pe, ctx):
-                # Context parked on a fetch.  A blocking PE (or one at
-                # its outstanding limit) stops; a multithreaded PE moves
-                # on to the next ready context.
-                if self._outstanding[pe] >= self.max_outstanding:
-                    return
-                continue
-
-    def _execute(self, pe: int, ctx: _Context) -> bool:
-        """Advance one context; True if the instance completed."""
+        now = self.queue.now
         state = self._pes[pe]
-        cfg, costs, tr = self.config, self.costs, self.trace
-        instance = state.instances[ctx.local_idx]
-        lo, hi = int(tr.r_ptr[instance]), int(tr.r_ptr[instance + 1])
-        cursor = lo + ctx.read_cursor
-        while cursor < hi:
-            arr = int(tr.r_arr[cursor])
-            flat = int(tr.r_flat[cursor])
-            page = int(self.r_pages[cursor])
-            owner = int(self.r_owner[cursor])
-            if owner == pe:
-                state.busy_until = max(state.busy_until, self.queue.now)
-                state.busy_until += costs.local_read
-                self.stats.add(pe, AccessKind.LOCAL_READ, array_id=arr)
+        busy = state.busy_until
+        instances = state.instances
+        n_instances = len(instances)
+        resumed = self._resumed[pe]
+        started = self._started[pe]
+        r_ptr, r_arr, r_flat = self._r_ptr, self._r_arr, self._r_flat
+        r_pages, r_owner, w_cell = self._r_pages, self._r_owner, self._w_cell
+        costs = self.costs
+        local_read, cached_read = costs.local_read, costs.cached_read
+        per_instance = costs.compute_per_statement + costs.write
+        tally = self._tally
+        local_row = _LOCAL * self._kind_stride + pe * self._n_arrays
+        cached_row = _CACHED * self._kind_stride + pe * self._n_arrays
+        cache = self._caches[pe] if self._has_cache else None
+        fetch_time = self._fetch_time[pe]
+        write_time = self._write_time
+        writes_left = self._writes_left
+        combine_of = self._combine_of
+        deferred = self._deferred
+        instance_writes = self._instance_writes
+        outstanding = self._outstanding
+        max_outstanding = self.max_outstanding
+        while True:
+            if resumed:
+                instance, cursor = resumed.pop()
+            elif started < n_instances:
+                instance = instances[started]
+                started += 1
+                cursor = r_ptr[instance]
             else:
-                key = (arr, page)
-                hit = cfg.has_cache and self._caches[pe].contains(key)
-                if hit and self._snapshot_valid(pe, key, arr, flat):
-                    state.busy_until = max(state.busy_until, self.queue.now)
-                    state.busy_until += costs.cached_read
-                    self._caches[pe].access(key)  # refresh recency
-                    self.stats.add(pe, AccessKind.CACHED_READ, array_id=arr)
-                else:
-                    if hit:
-                        self.refetches += 1
-                        self._pes[pe].refetches += 1
-                    self._start_fetch(pe, ctx, cursor - lo, arr, flat, page, owner)
-                    return False
-            ctx.read_cursor = cursor - lo + 1
-            cursor += 1
-        # All reads satisfied: compute and write.
-        state.busy_until = max(state.busy_until, self.queue.now)
-        state.busy_until += costs.compute_per_statement + costs.write
-        self.stats.add(pe, AccessKind.WRITE)
-        cell = _cell(int(tr.w_arr[instance]), int(tr.w_flat[instance]))
-        done = self._writes_done.get(cell, 0) + 1
-        self._writes_done[cell] = done
+                break
+            end = r_ptr[instance + 1]
+            while cursor < end:
+                arr = r_arr[cursor]
+                owner = r_owner[cursor]
+                if owner == pe:
+                    if busy < now:
+                        busy = now
+                    busy += local_read
+                    tally[local_row + arr] += 1
+                    cursor += 1
+                    continue
+                key = (arr, r_pages[cursor])
+                cell = (arr << 44) | r_flat[cursor]
+                if cache is not None and cache.contains(key):
+                    # A valid hit needs the cell defined when the cached
+                    # page was fetched (partial pages, §8).
+                    available = write_time.get(cell, 0.0)
+                    if available is not None and available <= fetch_time[key]:
+                        if busy < now:
+                            busy = now
+                        busy += cached_read
+                        cache.access(key)  # refresh recency
+                        tally[cached_row + arr] += 1
+                        cursor += 1
+                        continue
+                    self.refetches += 1
+                    state.refetches += 1
+                if busy < now:
+                    busy = now
+                state.busy_until = busy
+                self._fetch(pe, instance, cursor, key, cell, owner, busy)
+                break
+            else:
+                # All reads satisfied: compute and write.
+                if busy < now:
+                    busy = now
+                busy += per_instance
+                instance_writes[pe] += 1
+                cell = w_cell[instance]
+                left = writes_left[cell] - 1
+                writes_left[cell] = left
+                if left == 0:
+                    write_time[cell] = busy
+                    if cell in deferred:
+                        self._release_waiters(cell, busy)
+                elif combine_of:
+                    self._fold_written(cell, left, busy)
+                continue
+            # The context parked on a fetch.  A blocking PE (or one at
+            # its outstanding limit) stops; a multithreaded PE moves on
+            # to the next ready context.
+            if outstanding[pe] >= max_outstanding:
+                break
+        state.busy_until = busy
+        self._started[pe] = started
+
+    def _fold_written(self, cell: Cell, left: int, done: float) -> None:
+        """Time a subrange accumulator's combine once its folds retire.
+
+        When only the host's final write remains, the gather begins at
+        the *slowest* counted fold's completion in simulated time — a
+        PE's burst counts its folds while its local clock is already
+        far past queue.now, so the counting order alone would start
+        the combine early.
+        """
         group = self._combine_of.get(cell)
-        if group is not None:
-            self._acc_write_time[cell] = max(
-                self._acc_write_time.get(cell, 0.0), state.busy_until
-            )
-        if done >= self._writes_needed[cell]:
-            self._write_time[cell] = state.busy_until
-            self._release_waiters(cell, state.busy_until)
-        elif group is not None and done == self._writes_needed[cell] - 1:
-            # Every fold has been counted; the remaining write is the
-            # host's, performed after it gathers the partials.  The
-            # gather begins when the *slowest* counted write completes
-            # in simulated time — a PE's burst counts its folds while
-            # its local clock is already far past queue.now, so the
-            # counting order alone would start the combine early.
-            self.queue.schedule(
-                self._acc_write_time[cell],
-                lambda: self._combine(cell, group),
-            )
-        return True
+        if group is None:
+            return
+        latest = max(self._acc_write_time.get(cell, 0.0), done)
+        self._acc_write_time[cell] = latest
+        if left == 1:
+            self.queue.schedule(latest, _COMBINE, cell, group)
 
     # -- messaging ------------------------------------------------------------
-    def _send_at(
-        self,
-        src: int,
-        dst: int,
-        depart: float,
-        payload_elements: int,
-        then,
+    def _route(self, src: int, dst: int) -> tuple[int, tuple, float, float]:
+        """``(hops, links, request latency, reply latency sans payload)``.
+
+        A reply's latency is ``reply + per_element * payload``; the
+        memoised part is the first two terms of
+        :meth:`CostModel.reply_latency`, summed in its order, so every
+        latency is bit-identical to the cost model's.
+        """
+        key = src * self.config.n_pes + dst
+        entry = self._routes.get(key)
+        if entry is None:
+            costs = self.costs
+            hops, links = self.topology.path(src, dst)
+            entry = (
+                hops,
+                links,
+                costs.request_latency(hops),
+                costs.reply_overhead + costs.per_hop * hops,
+            )
+            self._routes[key] = entry
+        return entry
+
+    def _send(
+        self, src: int, dst: int, depart: float, payload: int, step: int, data
     ) -> None:
         """Put one message on the wire at ``depart`` (simulated time).
 
-        Counts the message and its hops, then calls
-        ``then(hops, queued)`` where ``queued`` is the link-queueing
-        delay to add on top of the closed-form latency.
+        The message lands at ``depart`` + its closed-form latency (+
+        link-queueing delay), where ``_LANDERS[step](self, data,
+        arrival)`` continues the protocol.
 
         Without link occupancy (``contention_model="none"``, or
-        infinite bandwidth) the transmit is pure accounting and
-        ``then`` runs *synchronously* with ``queued == 0.0`` — the
-        historical event structure, bit-for-bit.  With occupancy, the
-        link reservation is deferred to an event at ``depart``: a PE's
-        burst calls this while its local clock runs far ahead of
+        infinite bandwidth) the transmit is pure accounting — the
+        route's link traffic, one message, its hops — and the message
+        lands *synchronously*.  With occupancy, the link reservation is
+        deferred to a ``_RESERVE`` event at ``depart``: a PE's burst
+        calls this while its local clock runs far ahead of
         ``queue.now``, so reserving at call time would queue messages
         in event-processing order and charge a message delay behind
         traffic that departs *later* in simulated time.  Routing
         reservations through the event queue orders them causally.
         """
-        occupancy = (
-            self.costs.occupancy(payload_elements)
-            if self.costs.contended
-            else 0.0
-        )
-        if occupancy == 0.0:
-            hops, _ = self.topology.transmit(src, dst, at=depart)
-            self.messages += 1
-            self.total_hops += hops
-            then(hops, 0.0)
+        costs = self.costs
+        occupancy = costs.occupancy(payload) if self._contended else 0.0
+        if occupancy != 0.0:
+            message = (src, dst, payload, step, occupancy)
+            self.queue.schedule(depart, _RESERVE, message, data)
             return
+        hops, links, request, reply = self._route(src, dst)
+        traffic = self.topology.link_traffic
+        for link in links:
+            traffic[link] = traffic.get(link, 0) + 1
+        self.messages += 1
+        self.total_hops += hops
+        if step & 1:
+            arrival = depart + (reply + costs.per_element * payload)
+        else:
+            arrival = depart + request
+        _LANDERS[step](self, data, arrival)
 
-        def reserve() -> None:
-            hops, queued = self.topology.transmit(
-                src, dst, at=self.queue.now, occupancy=occupancy
-            )
-            self.messages += 1
-            self.total_hops += hops
-            then(hops, queued)
-
-        self.queue.schedule(depart, reserve)
+    def _reserve(self, message: tuple, data) -> None:
+        """A contended message departs now: hold its links, then land."""
+        src, dst, payload, step, occupancy = message
+        depart = self.queue.now
+        hops, queued = self.topology.transmit(src, dst, at=depart, occupancy=occupancy)
+        self.messages += 1
+        self.total_hops += hops
+        _, _, request, reply = self._route(src, dst)
+        if step & 1:
+            latency = reply + self.costs.per_element * payload
+        else:
+            latency = request
+        _LANDERS[step](self, data, depart + latency + queued)
 
     # -- remote fetches -------------------------------------------------------------
-    def _snapshot_valid(self, pe: int, key: tuple[int, int], arr: int, flat: int) -> bool:
-        """Was this cell defined when the cached page was fetched?"""
-        fetched = self._fetch_time[pe].get(key)
-        if fetched is None:
-            return False
-        available = self._available_at(_cell(arr, flat))
-        return available is not None and available <= fetched
-
-    def _start_fetch(
+    def _fetch(
         self,
         pe: int,
-        ctx: _Context,
-        read_offset: int,
-        arr: int,
-        flat: int,
-        page: int,
-        owner: int,
-    ) -> None:
-        """Issue a page request; park the context until the reply."""
-        state = self._pes[pe]
-        costs = self.costs
-        state.busy_until = max(state.busy_until, self.queue.now)
-        state.requests_sent += 1
-        self._outstanding[pe] += 1
-        ctx.read_cursor = read_offset  # retry this read on resume
-        depart = state.busy_until
-        cell = _cell(arr, flat)
-        key = (arr, page)
-        page_elems = self.tables[arr].elements_in_page(page)
-
-        def on_request(hops: int, queued: float) -> None:
-            request_arrival = depart + costs.request_latency(hops) + queued
-
-            def deliver(ready_time: float) -> None:
-                def on_reply(reply_hops: int, reply_queued: float) -> None:
-                    arrive = (
-                        ready_time
-                        + costs.reply_latency(reply_hops, page_elems)
-                        + reply_queued
-                    )
-                    self.queue.schedule(
-                        max(arrive, self.queue.now),
-                        lambda: self._finish_fetch(
-                            pe, ctx, key, arrive, read_offset
-                        ),
-                    )
-
-                self._send_at(owner, pe, ready_time, page_elems, on_reply)
-
-            available = self._available_at(cell)
-            if available is not None:
-                deliver(max(request_arrival, available))
-            else:
-                # I-structure deferred read: parked at the owner until
-                # the producing write happens (§3).
-                self.deferred_reads += 1
-                self._deferred.setdefault(cell, []).append(
-                    (request_arrival, deliver)
-                )
-
-        self._send_at(pe, owner, depart, 0, on_request)
-
-    def _finish_fetch(
-        self,
-        pe: int,
-        ctx: _Context,
+        instance: int,
+        cursor: int,
         key: tuple[int, int],
-        arrive: float,
-        read_offset: int,
+        cell: Cell,
+        owner: int,
+        depart: float,
     ) -> None:
+        """Issue a page request; the context parks until the reply."""
+        self._pes[pe].requests_sent += 1
+        self._outstanding[pe] += 1
+        page_elems = self._page_elems.get(key)
+        if page_elems is None:
+            page_elems = self.tables[key[0]].elements_in_page(key[1])
+            self._page_elems[key] = page_elems
+        fetch = (pe, instance, cursor, key, cell, owner, page_elems)
+        self._send(pe, owner, depart, 0, _PAGE_REQUEST, fetch)
+
+    def _page_request_landed(self, fetch: tuple, arrival: float) -> None:
+        cell = fetch[4]
+        available = self._write_time.get(cell, 0.0)
+        if available is None:
+            # I-structure deferred read: parked at the owner until the
+            # producing write happens (§3).
+            self.deferred_reads += 1
+            self._deferred.setdefault(cell, []).append((arrival, fetch))
+            return
+        self._reply(fetch, max(arrival, available))
+
+    def _reply(self, fetch: tuple, ready: float) -> None:
+        """The owner sends the page once the requested cell is ready."""
+        self._send(fetch[5], fetch[0], ready, fetch[6], _PAGE_REPLY, fetch)
+
+    def _page_reply_landed(self, fetch: tuple, arrival: float) -> None:
+        now = self.queue.now
+        self.queue.schedule(max(arrival, now), _FETCH_DONE, fetch, arrival)
+
+    def _fetch_done(self, fetch: tuple, arrival: float) -> None:
+        pe, instance, cursor, key = fetch[0], fetch[1], fetch[2], fetch[3]
         state = self._pes[pe]
         stall_start = state.busy_until
-        if arrive > stall_start:
-            state.stall_time += arrive - stall_start
-        state.busy_until = max(state.busy_until, arrive)
-        if self.config.has_cache:
+        if arrival > stall_start:
+            state.stall_time += arrival - stall_start
+        state.busy_until = max(state.busy_until, arrival)
+        if self._has_cache:
             self._caches[pe].access(key)
-            self._fetch_time[pe][key] = arrive
+            self._fetch_time[pe][key] = arrival
             self._prune_fetch_times(pe)
-        self.stats.add(pe, AccessKind.REMOTE_READ, array_id=key[0])
-        # The fetched read is satisfied by the reply itself; resume after it.
-        ctx.read_cursor = read_offset + 1
+        self._count(_REMOTE, pe, key[0])
+        # The fetched read is satisfied by the reply itself; resume
+        # after it, ahead of every other ready context.
         self._outstanding[pe] -= 1
-        self._ready[pe].appendleft(ctx)  # resume the parked iteration first
+        self._resumed[pe].append((instance, cursor + 1))
         self._schedule_burst(pe, state.busy_until)
 
     def _prune_fetch_times(self, pe: int) -> None:
-        """Keep fetch-time bookkeeping in sync with cache evictions."""
+        """Drop fetch times of pages the cache has evicted.
+
+        A stale entry is never consulted — a page only becomes
+        resident again through a fetch, which overwrites its entry —
+        so pruning only bounds memory, and doing it once the book
+        holds twice the cache's capacity keeps it amortised O(1).
+        """
         cache = self._caches[pe]
         book = self._fetch_time[pe]
-        if len(book) > cache.capacity_pages:
+        if len(book) > 2 * cache.capacity_pages:
             resident = set(cache.resident_keys())
             for key in [k for k in book if k not in resident]:
                 del book[key]
 
     def _release_waiters(self, cell: Cell, write_time: float) -> None:
-        for request_arrival, deliver in self._deferred.pop(cell, []):
-            deliver(max(write_time, request_arrival))
+        for arrival, fetch in self._deferred.pop(cell, ()):
+            self._reply(fetch, max(write_time, arrival))
 
     # -- subrange combine -------------------------------------------------------
     def _combine(self, cell: Cell, group: SubrangeGroup) -> None:
@@ -498,57 +616,58 @@ class TimedMachine:
         releasing any deferred readers — the exact charge pattern of
         the untimed simulator's combine phase.
         """
-        costs = self.costs
         host = group.host
-        state = self._pes[host]
-        start = max(state.busy_until, self.queue.now)
+        start = max(self._pes[host].busy_until, self.queue.now)
         remotes = [c for c in group.contributors if c != host]
-        arrivals = [start]
-        outstanding = [len(remotes)]
-
-        def finish() -> None:
-            done_time = max(arrivals)
-            if group.local_partials:
-                done_time += costs.local_read
-                self.stats.add(
-                    host, AccessKind.LOCAL_READ, array_id=group.array_id
-                )
-            done_time += costs.write
-            self.stats.add(host, AccessKind.WRITE, array_id=group.array_id)
-            state.busy_until = max(state.busy_until, done_time)
-            self._writes_done[cell] += 1
-            self._write_time[cell] = done_time
-            self._release_waiters(cell, done_time)
-
-        def gather(contributor: int) -> None:
-            self.stats.add(
-                host, AccessKind.REMOTE_READ, array_id=group.array_id
-            )
-
-            def on_request(hops: int, queued: float) -> None:
-                request_arrival = (
-                    start + costs.request_latency(hops) + queued
-                )
-
-                def on_reply(reply_hops: int, reply_queued: float) -> None:
-                    arrivals.append(
-                        request_arrival
-                        + costs.reply_latency(reply_hops, 1)
-                        + reply_queued
-                    )
-                    outstanding[0] -= 1
-                    if outstanding[0] == 0:
-                        finish()
-
-                self._send_at(contributor, host, request_arrival, 1, on_reply)
-
-            self._send_at(host, contributor, start, 0, on_request)
-
+        gather = _Gather(cell, group, start, len(remotes))
         if not remotes:
-            finish()
+            self._combined(gather)
             return
         for contributor in remotes:
-            gather(contributor)
+            self._count(_REMOTE, host, group.array_id)
+            part = (gather, contributor)
+            self._send(host, contributor, start, 0, _PARTIAL_REQUEST, part)
+
+    def _partial_request_landed(self, part: tuple, arrival: float) -> None:
+        gather, contributor = part
+        host = gather.group.host
+        self._send(contributor, host, arrival, 1, _PARTIAL_REPLY, gather)
+
+    def _partial_reply_landed(self, gather: _Gather, arrival: float) -> None:
+        if arrival > gather.latest:
+            gather.latest = arrival
+        gather.waiting -= 1
+        if gather.waiting == 0:
+            self._combined(gather)
+
+    def _combined(self, gather: _Gather) -> None:
+        """Every partial is in: fold locally, write, release readers."""
+        costs = self.costs
+        group = gather.group
+        host = group.host
+        state = self._pes[host]
+        done_time = gather.latest
+        if group.local_partials:
+            done_time += costs.local_read
+            self._count(_LOCAL, host, group.array_id)
+        done_time += costs.write
+        self._count(_WRITE, host, group.array_id)
+        state.busy_until = max(state.busy_until, done_time)
+        cell = gather.cell
+        self._writes_left[cell] -= 1
+        self._write_time[cell] = done_time
+        self._release_waiters(cell, done_time)
+
+
+#: The handler a message runs when it lands, indexed by its step.  Plain
+#: functions, not bound methods: a machine holding its own bound methods
+#: would be a reference cycle, left for the cyclic collector to free.
+_LANDERS = (
+    TimedMachine._page_request_landed,
+    TimedMachine._page_reply_landed,
+    TimedMachine._partial_request_landed,
+    TimedMachine._partial_reply_landed,
+)
 
 
 def _analytic_ok(superops, config: MachineConfig, costs: CostModel, mode: str) -> bool:
@@ -626,11 +745,10 @@ def run_compacted(
     """
     from ..core.superop_replay import TimedLedger, closes, replay_superops
 
+    if max_outstanding < 1:
+        raise ValueError("max_outstanding must be at least 1")
     costs = costs if costs is not None else CostModel()
-    if not (
-        _analytic_ok(superops, config, costs, mode)
-        and closes(superops, config)
-    ):
+    if not (_analytic_ok(superops, config, costs, mode) and closes(superops, config)):
         return TimedMachine(
             trace,
             config,
@@ -672,35 +790,20 @@ def run_compacted(
                 busy[pe] += n * costs.cached_read
         messages = 0
         total_hops = 0
-        route_cache: dict[tuple[int, int], tuple[int, list]] = {}
-
-        def route_of(src: int, dst: int) -> tuple[int, list]:
-            entry = route_cache.get((src, dst))
-            if entry is None:
-                entry = (topo.hops(src, dst), topo.route(src, dst))
-                route_cache[(src, dst)] = entry
-            return entry
-
         for (pe, arr, page), count in ledger.misses.items():
-            owner = config.partition.owner_of(
-                page, tables[arr].n_pages, config.n_pes
-            )
-            page_elems = tables[arr].elements_in_page(page)
-            req_hops, req_route = route_of(pe, owner)
-            rep_hops, rep_route = route_of(owner, pe)
-            latency = costs.request_latency(req_hops) + costs.reply_latency(
-                rep_hops, page_elems
-            )
+            table = tables[arr]
+            owner = config.partition.owner_of(page, table.n_pages, config.n_pes)
+            req_hops, req_links = topo.path(pe, owner)
+            rep_hops, rep_links = topo.path(owner, pe)
+            reply = costs.reply_latency(rep_hops, table.elements_in_page(page))
+            latency = costs.request_latency(req_hops) + reply
             stats.add(pe, AccessKind.REMOTE_READ, count, array_id=arr)
             busy[pe] += count * latency
             stall[pe] += count * latency
             messages += 2 * count
             total_hops += count * (req_hops + rep_hops)
-            for link in req_route + rep_route:
-                key = (min(link), max(link))
-                topo.link_traffic[key] = (
-                    topo.link_traffic.get(key, 0) + count
-                )
+            for key in req_links + rep_links:
+                topo.link_traffic[key] = topo.link_traffic.get(key, 0) + count
     return TimedResult(
         config=config,
         topology=topo.name,

@@ -49,6 +49,7 @@ class Topology:
         # only for messages transmitted with a nonzero occupancy.
         self.link_free: dict[Link, float] = {}
         self.queueing_delay = 0.0
+        self._paths: dict[tuple[int, int], tuple[int, tuple[Link, ...]]] = {}
 
     # -- required ---------------------------------------------------------------
     def hops(self, src: int, dst: int) -> int:
@@ -61,6 +62,24 @@ class Topology:
     def edges(self) -> list[Link]:
         """Undirected link list (canonical order src < dst)."""
         raise NotImplementedError
+
+    def path(self, src: int, dst: int) -> tuple[int, tuple[Link, ...]]:
+        """``(hops, links)`` of the src -> dst route, memoised.
+
+        ``links`` are the route's links in traversal order, each in the
+        canonical ``(min, max)`` form that keys :attr:`link_traffic`
+        and :attr:`link_free`.
+        """
+        entry = self._paths.get((src, dst))
+        if entry is None:
+            self._check(src)
+            self._check(dst)
+            entry = (
+                self.hops(src, dst),
+                tuple((min(link), max(link)) for link in self.route(src, dst)),
+            )
+            self._paths[(src, dst)] = entry
+        return entry
 
     # -- bookkeeping ---------------------------------------------------------------
     def record(self, src: int, dst: int) -> int:
@@ -85,11 +104,9 @@ class Topology:
         exactly ``0.0``: pure traffic accounting, identical to the
         historical :meth:`record`.
         """
-        self._check(src)
-        self._check(dst)
+        hops, links = self.path(src, dst)
         t = at
-        for link in self.route(src, dst):
-            key = (min(link), max(link))
+        for key in links:
             self.link_traffic[key] = self.link_traffic.get(key, 0) + 1
             if occupancy > 0.0:
                 t = max(t, self.link_free.get(key, 0.0))
@@ -97,7 +114,7 @@ class Topology:
                 t += occupancy
         delay = t - at
         self.queueing_delay += delay
-        return self.hops(src, dst), delay
+        return hops, delay
 
     def contention_summary(self) -> dict[str, float]:
         """Aggregate link-load statistics after a run."""

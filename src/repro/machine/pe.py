@@ -8,7 +8,8 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 __all__ = ["CONTENTION_MODELS", "CostModel", "PEState"]
 
@@ -102,16 +103,9 @@ class PEState:
 
     pe: int
     # Indices into the trace of the instances this PE executes, in order.
-    instances: list[int] = field(default_factory=list)
-    position: int = 0          # next instance to run
-    read_cursor: int = 0       # next read within the current instance
+    instances: Sequence[int] = ()
     busy_until: float = 0.0    # local clock
-    blocked: bool = False
     # statistics
     stall_time: float = 0.0
     requests_sent: int = 0
     refetches: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.position >= len(self.instances)

@@ -12,54 +12,75 @@ from repro.kernels import get_kernel
 
 
 class TestEventQueue:
+    """Events are tuples ``(kind, a, b)`` dispatched to ``handlers[kind]``."""
+
+    @staticmethod
+    def recorder(seen):
+        """A one-kind handler table that logs each event's ``a``."""
+        return (lambda a, b: seen.append(a),)
+
     def test_fires_in_time_order(self):
         q = EventQueue()
         seen = []
-        q.schedule(3.0, lambda: seen.append("c"))
-        q.schedule(1.0, lambda: seen.append("a"))
-        q.schedule(2.0, lambda: seen.append("b"))
-        assert q.run() == 3.0
+        q.schedule(3.0, 0, "c")
+        q.schedule(1.0, 0, "a")
+        q.schedule(2.0, 0, "b")
+        assert q.run(self.recorder(seen)) == 3.0
         assert seen == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
         q = EventQueue()
         seen = []
-        q.schedule(1.0, lambda: seen.append("first"))
-        q.schedule(1.0, lambda: seen.append("second"))
-        q.run()
+        q.schedule(1.0, 0, "first")
+        q.schedule(1.0, 0, "second")
+        q.run(self.recorder(seen))
         assert seen == ["first", "second"]
+
+    def test_kinds_dispatch_to_their_handlers(self):
+        q = EventQueue()
+        seen = []
+        handlers = (
+            lambda a, b: seen.append(("zero", a, b)),
+            lambda a, b: seen.append(("one", a, b)),
+        )
+        q.schedule(1.0, 1, "x", 7)
+        q.schedule(2.0, 0, "y")
+        q.run(handlers)
+        assert seen == [("one", "x", 7), ("zero", "y", None)]
 
     def test_schedule_during_run(self):
         q = EventQueue()
         seen = []
 
-        def cascade():
-            seen.append("outer")
-            q.schedule_after(1.0, lambda: seen.append("inner"))
+        def cascade(a, b):
+            seen.append(a)
+            if a == "outer":
+                q.schedule_after(1.0, 0, "inner")
 
-        q.schedule(1.0, cascade)
-        assert q.run() == 2.0
+        q.schedule(1.0, 0, "outer")
+        assert q.run((cascade,)) == 2.0
         assert seen == ["outer", "inner"]
 
     def test_past_scheduling_rejected(self):
         q = EventQueue()
-        q.schedule(5.0, lambda: q.schedule(1.0, lambda: None))
+        q.schedule(5.0, 0)
         with pytest.raises(ValueError, match="past"):
-            q.run()
+            q.run((lambda a, b: q.schedule(1.0, 0),))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().schedule_after(-1.0, lambda: None)
+            EventQueue().schedule_after(-1.0, 0)
 
     def test_event_budget(self):
         q = EventQueue()
 
-        def forever():
-            q.schedule_after(1.0, forever)
+        def forever(a, b):
+            q.schedule_after(1.0, 0)
 
-        q.schedule(0.0, forever)
+        q.schedule(0.0, 0)
         with pytest.raises(RuntimeError, match="budget"):
-            q.run(max_events=10)
+            q.run((forever,), max_events=10)
+        assert q.events_processed == 10
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +156,19 @@ class TestMultithreadedMode:
         with pytest.raises(ValueError, match="unknown mode"):
             TimedMachine(
                 hydro, MachineConfig(n_pes=2, page_size=32), mode="simd"
+            )
+
+    @pytest.mark.parametrize("mode", ["blocking", "multithreaded"])
+    @pytest.mark.parametrize("max_outstanding", [0, -3])
+    def test_invalid_max_outstanding(self, hydro, mode, max_outstanding):
+        """A PE can't run with fewer than one fetch in flight; the
+        machine must say so rather than silently run with one."""
+        with pytest.raises(ValueError, match="max_outstanding"):
+            TimedMachine(
+                hydro,
+                MachineConfig(n_pes=2, page_size=32),
+                mode=mode,
+                max_outstanding=max_outstanding,
             )
 
 

@@ -13,6 +13,8 @@ mechanisms that natural kernels only exercise incidentally:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import MachineConfig, simulate
 from repro.ir import TraceBuilder
 from repro.machine import CostModel, TimedMachine
@@ -64,6 +66,20 @@ class TestDeferredReads:
         assert result.deferred_reads == 1
         # Two remote reads: PE0's opener plus the deferred consumer read.
         assert result.stats.remote_reads == 2
+
+    def test_cyclic_deferral_is_reported_not_dropped(self):
+        """X[0] (PE0) needs Y[PS] and Y[PS] (PE1) needs X[0]: each
+        request defers on the other's write, the queue drains, and the
+        run must fail loudly instead of returning partial counters.
+        (Such a trace has no valid sequential order; only hand-built
+        traces can pose it.)"""
+        arrays = [("X", 2 * PS), ("Y", 2 * PS)]
+        instances = [(("X", 0), [("Y", PS)]), (("Y", PS), [("X", 0)])]
+        trace = make_trace(instances, arrays)
+        cfg = MachineConfig(n_pes=2, page_size=PS, cache_elems=0)
+        for mode in ("blocking", "multithreaded"):
+            with pytest.raises(RuntimeError, match="unfinished work"):
+                TimedMachine(trace, cfg, mode=mode).run()
 
     def test_deferred_read_resumes_after_write_time(self):
         arrays = [("X", 2 * PS), ("Y", 2 * PS), ("Z", 8 * PS)]

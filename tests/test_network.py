@@ -101,6 +101,15 @@ class TestClosedFormsAgainstNetworkx:
                 for link in topo.route(src, dst):
                     assert tuple(sorted(link)) in edges
 
+    def test_path_is_the_canonical_route(self, topo):
+        """The memoised path is the route, hop count and canonical link
+        keys, computed once per pair."""
+        for src in range(topo.n_pes):
+            for dst in range(topo.n_pes):
+                canonical = tuple(tuple(sorted(link)) for link in topo.route(src, dst))
+                assert topo.path(src, dst) == (topo.hops(src, dst), canonical)
+                assert topo.path(src, dst) is topo.path(src, dst)
+
 
 class TestBus:
     def test_single_hop_everywhere(self):

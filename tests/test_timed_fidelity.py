@@ -16,9 +16,16 @@ two backends must agree **bit for bit**:
   the per-link contention machinery charges exactly ``0.0`` cycles, so
   pre-bandwidth latencies reproduce bit for bit (property-tested
   across random cost models) and existing artifacts stay comparable.
+
+``TestFrozenReference`` is the timed machine's own wall: the tuple-coded
+event loop must reproduce, field for field and float for float, the
+callback-per-message loop it replaced, frozen in
+``tests/timed_reference.py``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,13 +42,16 @@ from repro.backends import (
 from repro.bench import kernel_trace
 from repro.core import AccessKind, MachineConfig, simulate
 from repro.ir import TraceBuilder
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, paper_kernels
 from repro.machine import CostModel, TimedMachine, make_topology
 from strategies import machine_configs, traces
+from timed_reference import TimedMachine as ReferenceMachine
 
 STRATEGIES = ("host", "subrange")
 TOPOLOGIES = ("crossbar", "bus", "ring", "mesh2d", "torus2d", "hypercube")
 MODES = ("blocking", "multithreaded")
+#: The default cost model and a per-link contended preset.
+COSTS = ("default", "contended")
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +442,114 @@ class TestLinkReservation:
         assert topo.record(0, 2) == 2
         assert sum(topo.link_traffic.values()) == 2
         assert topo.queueing_delay == 0.0
+
+
+def assert_same_run(result, reference):
+    """Every field of two TimedResults, with exact float equality."""
+    assert result.config == reference.config
+    assert result.topology == reference.topology
+    assert result.mode == reference.mode
+    assert result.finish_time == reference.finish_time
+    assert result.per_pe_finish.dtype == reference.per_pe_finish.dtype
+    assert result.per_pe_finish.tolist() == reference.per_pe_finish.tolist()
+    assert result.stall_time.dtype == reference.stall_time.dtype
+    assert result.stall_time.tolist() == reference.stall_time.tolist()
+    assert result.stats.counts.tolist() == reference.stats.counts.tolist()
+    assert result.stats.by_array.tolist() == reference.stats.by_array.tolist()
+    assert result.messages == reference.messages
+    assert result.total_hops == reference.total_hops
+    assert result.refetches == reference.refetches
+    assert result.deferred_reads == reference.deferred_reads
+    assert result.contention == reference.contention
+
+
+def run_both(trace, cfg, *, topology, costs, mode, max_outstanding=4):
+    kwargs = dict(
+        topology=topology,
+        costs=cost_model(costs),
+        mode=mode,
+        max_outstanding=max_outstanding,
+    )
+    return (
+        TimedMachine(trace, cfg, **kwargs).run(),
+        ReferenceMachine(trace, cfg, **kwargs).run(),
+    )
+
+
+#: (n_pes, cache_elems, cache policy, mode, topology, costs, strategy)
+KERNEL_POINTS = (
+    (4, 256, "lru", "blocking", "crossbar", "default", "host"),
+    (16, 0, "lru", "multithreaded", "mesh2d", "contended", "subrange"),
+    (8, 256, "fifo", "multithreaded", "ring", "contended", "host"),
+    (16, 256, "lru", "blocking", "torus2d", "default", "subrange"),
+    (8, 0, "lru", "blocking", "bus", "contended", "subrange"),
+    (4, 64, "direct", "multithreaded", "hypercube", "default", "host"),
+)
+
+
+@pytest.fixture(scope="module")
+def small_paper_traces():
+    traces_by_name = {}
+    for kernel in paper_kernels():
+        program, inputs = kernel.build(n=64)
+        traces_by_name[kernel.name] = kernel_trace(program, inputs)
+    return traces_by_name
+
+
+class TestFrozenReference:
+    """The tuple-coded event loop is the callback loop, bit for bit.
+
+    ``TimedMachine`` schedules the same events in the same ``seq``
+    order as the frozen reference, so every result field — clocks,
+    stalls, counters, messages, refetches, deferrals and the
+    contention summary — must be exactly equal, in every mode and
+    under either contention model.
+    """
+
+    @settings(deadline=None)
+    @given(
+        trace=traces(timed_safe=True),
+        config=machine_configs(),
+        mode=st.sampled_from(MODES),
+        topology=st.sampled_from(TOPOLOGIES),
+        costs=st.sampled_from(COSTS),
+        strategy=st.sampled_from(STRATEGIES),
+        max_outstanding=st.integers(min_value=1, max_value=4),
+    )
+    def test_generated_traces(
+        self, trace, config, mode, topology, costs, strategy, max_outstanding
+    ):
+        # The hypercube is only defined for power-of-two PE counts.
+        assume(topology != "hypercube" or config.n_pes & (config.n_pes - 1) == 0)
+        cfg = replace(config, reduction_strategy=strategy)
+        result, reference = run_both(
+            trace,
+            cfg,
+            topology=topology,
+            costs=costs,
+            mode=mode,
+            max_outstanding=max_outstanding,
+        )
+        assert_same_run(result, reference)
+
+    @pytest.mark.parametrize(
+        "point", KERNEL_POINTS, ids=lambda p: "-".join(map(str, p))
+    )
+    @pytest.mark.parametrize("kernel", [k.name for k in paper_kernels()])
+    def test_paper_kernels(self, small_paper_traces, kernel, point):
+        pes, cache, policy, mode, topology, costs, strategy = point
+        cfg = MachineConfig(
+            n_pes=pes,
+            page_size=8,
+            cache_elems=cache,
+            cache_policy=policy,
+            reduction_strategy=strategy,
+        )
+        result, reference = run_both(
+            small_paper_traces[kernel],
+            cfg,
+            topology=topology,
+            costs=costs,
+            mode=mode,
+        )
+        assert_same_run(result, reference)
