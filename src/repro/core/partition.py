@@ -48,7 +48,12 @@ class PartitionScheme:
     def owners_of(
         self, pages: np.ndarray, n_pages: int, n_pes: int
     ) -> np.ndarray:
-        """Vectorised :meth:`owner_of` (must agree elementwise)."""
+        """Vectorised :meth:`owner_of` (must agree elementwise).
+
+        ``n_pages`` may also be an array broadcasting against
+        ``pages`` — one page count per element, so pages of several
+        arrays are looked up in one call.
+        """
         raise NotImplementedError
 
     @property
@@ -111,18 +116,16 @@ class BlockPartition(PartitionScheme):
         if n_pes <= 0:
             raise ValueError("need at least one PE")
         pages = np.asarray(pages, dtype=np.int64)
-        base, extra = divmod(n_pages, n_pes)
-        if base == 0:
-            # Fewer pages than PEs: one page per PE, rest idle.
-            return pages.copy()
+        base, extra = np.divmod(n_pages, n_pes)
         # First `extra` PEs own (base+1) pages starting at 0.
         split = extra * (base + 1)
         owners = np.where(
             pages < split,
             pages // (base + 1),
-            extra + (pages - split) // base,
+            extra + (pages - split) // np.maximum(base, 1),
         )
-        return owners.astype(np.int64)
+        # Fewer pages than PEs (base == 0): one page per PE, rest idle.
+        return np.where(base == 0, pages, owners).astype(np.int64)
 
 
 @dataclass(frozen=True, repr=False)

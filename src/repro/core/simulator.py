@@ -193,13 +193,9 @@ def _owners_by_array(
     scheme: PartitionScheme,
     n_pes: int,
 ) -> np.ndarray:
-    """Vectorised page→owner lookup across arrays."""
-    owners = np.empty(len(pages), dtype=np.int64)
-    for array_id, table in enumerate(tables):
-        mask = arr_ids == array_id
-        if mask.any():
-            owners[mask] = scheme.owners_of(pages[mask], table.n_pages, n_pes)
-    return owners
+    """Vectorised page→owner lookup across arrays, in one scheme call."""
+    n_pages = np.array([table.n_pages for table in tables], dtype=np.int64)
+    return scheme.owners_of(pages, n_pages.take(arr_ids), n_pes)
 
 
 def subrange_placement(

@@ -42,13 +42,13 @@ fitting in the cache, a reduced run (one probe per steady-state
 window) misses iff its key is new to the op or at least ``capacity``
 distinct keys were touched since its previous run — the classic
 stack-distance property, evaluated for every PE's whole op segment in
-a handful of array passes (the same batched window-distinct trick as
-``vec_simulator._count_misses_vec``).  A *warm* LRU entry cache is
-covered too: the live recency stack seeds each first-in-op touch's
-distance (the stack is, by the LRU stack property, an exact summary
-of pre-op history), so back-to-back ops over the same arrays stay on
-the fast path.  Under FIFO the miss mask is the unique fixed point of
-the eviction-epoch rule (``vec_simulator._fifo_fixed_point``), run
+a handful of array passes (one batched window-distinct count).  A
+*warm* LRU entry cache is covered too: the live recency stack seeds
+each first-in-op touch's distance (the stack is, by the LRU stack
+property, an exact summary of pre-op history), so back-to-back ops
+over the same arrays stay on the fast path.  Under FIFO the miss
+mask is the unique fixed point of the eviction-epoch rule
+(``vec_simulator._fifo_fixed_point``), run
 over the reduced stream per PE from a cold cache, with a per-piece
 residency check guarding the all-hit fast-forward (FIFO hits never
 refresh admission epochs, so fitting in the cache is not enough).
@@ -89,7 +89,12 @@ from ..obs.profile import phase as _phase
 from .access import AccessKind
 from .simulator import MachineConfig, SimResult, _owners_by_array
 from .stats import AccessStats
-from .vec_simulator import _WINDOW_BUDGET, _fifo_fixed_point, simulate_vec
+from .vec_simulator import (
+    _WINDOW_BUDGET,
+    _fifo_fixed_point,
+    _window_reaches,
+    simulate_vec,
+)
 
 __all__ = ["closes", "replay_superops"]
 
@@ -510,7 +515,7 @@ class _Replay:
             if total > max(_WINDOW_BUDGET, 8 * n_runs):
                 prog.over_budget = True
             elif total:
-                # Batched distinct-per-window, as in the vec engine.
+                # Exact distinct count per window, for every capacity.
                 offsets = np.arange(total, dtype=np.int64) - np.repeat(
                     np.cumsum(spans) - spans, spans
                 )
@@ -686,9 +691,10 @@ class _Replay:
         *mini-stream* ``[entry stack, LRU->MRU] + [this PE's reduced
         runs, chronological]`` — the window from the key's stack slot
         to the run covers precisely the stack keys above it plus the
-        op keys touched before it, and the batched distinct count
-        handles their overlap.  Returns None when the windows blow
-        the budget (the caller replays the PE per piece instead).
+        op keys touched before it, and the threshold walk
+        (:func:`~repro.core.vec_simulator._window_reaches`) handles
+        their overlap.  Returns None when the walk exhausts its budget
+        (the caller replays the PE per piece instead).
         """
         stack_pairs = self.caches[pe].resident_keys()  # LRU -> MRU
         s = len(stack_pairs)
@@ -708,25 +714,18 @@ class _Replay:
         span = end - start
         undecided = np.flatnonzero(present & (span >= capacity))
         if undecided.size:
-            spans = span[undecided]
-            total = int(spans.sum())
-            if total > max(_WINDOW_BUDGET, 8 * (s + hi - lo)):
-                return None
             ministream = np.concatenate([stack, seg_keys])
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(spans) - spans, spans
+            by_key = np.argsort(ministream, kind="stable")
+            same = ministream[by_key[1:]] == ministream[by_key[:-1]]
+            nxt = np.full(ministream.size, ministream.size, dtype=np.int64)
+            nxt[by_key[:-1][same]] = by_key[1:][same]
+            budget = max(_WINDOW_BUDGET, 8 * ministream.size)
+            reached = _window_reaches(
+                nxt, end[undecided], span[undecided], capacity, budget
             )
-            flat = ministream[np.repeat(start[undecided], spans) + offsets]
-            win = np.repeat(
-                np.arange(undecided.size, dtype=np.int64), spans
-            )
-            o = np.lexsort((flat, win))
-            kf, wf = flat[o], win[o]
-            first = np.empty(total, dtype=bool)
-            first[0] = True
-            first[1:] = (kf[1:] != kf[:-1]) | (wf[1:] != wf[:-1])
-            distinct = np.bincount(wf[first], minlength=undecided.size)
-            miss[undecided[distinct >= capacity]] = True
+            if reached is None:
+                return None
+            miss[undecided[reached]] = True
         return miss
 
     def _decide_fifo(

@@ -18,10 +18,18 @@ policy admits a closed form:
   stable sort by slot answers for every run at once.
 * **lru** — a stack algorithm, so the Mattson stack-distance property
   (see :mod:`repro.core.reuse`) decides each run exactly: a re-touch
-  hits iff fewer than ``capacity`` distinct keys intervened.  Runs
-  whose intervening window is shorter than the capacity are guaranteed
-  hits; the remaining few are decided by an exact per-window distinct
-  count, under a total-window budget.
+  hits iff fewer than ``capacity`` distinct keys intervened since its
+  key's previous run.  Runs are run-length compressed, so windows
+  shorter than the capacity are guaranteed hits; the rest are settled
+  by a *threshold walk* (:func:`_window_reaches`) that only asks
+  whether a window holds at least ``capacity`` distinct keys.  With
+  ``nxt[j]`` the position of the next occurrence of position ``j``'s
+  key, ``j`` is its key's last occurrence before the repeat at ``i``
+  iff ``nxt[j] >= i``, so counting such positions while walking back
+  from every undecided repeat at once counts distinct keys exactly, and
+  a repeat is decided as soon as its count reaches the capacity (miss)
+  or the walk passes its window (hit).  A PE whose walk exhausts the
+  gathered-element budget replays through the scalar cache.
 * **fifo** — not a stack algorithm (no reuse distance exists), but
   misses are decidable from *eviction-epoch arithmetic*: every miss
   admits its key at a monotonically increasing fill epoch, and a
@@ -69,9 +77,9 @@ from .stats import AccessStats
 
 __all__ = ["simulate_vec"]
 
-#: Ceiling on the summed undecided-window lengths of one PE's LRU walk
-#: before the exact per-window distinct counts would cost more than the
-#: scalar replay they replace; past it the PE falls back wholesale.
+#: Floor of the element budget one LRU threshold walk may gather (it
+#: gets at least 8 per run) before it would cost more than the scalar
+#: replay it replaces; past it the PE falls back wholesale.
 _WINDOW_BUDGET = 1 << 16
 
 #: Round budget for the FIFO fixed-point iteration.  Each round is a
@@ -169,11 +177,54 @@ def _fifo_fixed_point(
 def _segments(sorted_pes: np.ndarray):
     """Yield ``(pe, start, end)`` for each PE's contiguous slice."""
     boundaries = np.flatnonzero(sorted_pes[1:] != sorted_pes[:-1]) + 1
-    edges = np.concatenate(
-        ([0], boundaries, [sorted_pes.size])
-    )
+    edges = np.concatenate(([0], boundaries, [sorted_pes.size]))
     for start, end in zip(edges[:-1].tolist(), edges[1:].tolist()):
         yield int(sorted_pes[start]), start, end
+
+
+def _window_reaches(
+    nxt: np.ndarray,
+    ends: np.ndarray,
+    spans: np.ndarray,
+    capacity: int,
+    budget: int,
+) -> np.ndarray | None:
+    """Whether each window holds at least ``capacity`` distinct keys.
+
+    Window ``q`` is the ``spans[q] >= capacity`` stream positions just
+    before ``ends[q]``, and ``nxt[j]`` is the position of the next
+    occurrence of position ``j``'s key (the stream length if none).
+    Position ``j`` is its key's last occurrence before ``e`` iff
+    ``nxt[j] >= e``, so a window's distinct keys are exactly its
+    positions passing that test.  The walk steps back from every end
+    at once in column blocks — ``capacity`` steps first, since fewer
+    cannot reach it, then doubling — and drops a window as soon as its
+    count reaches ``capacity`` (True) or the walk passes its start
+    (False).  Returns None once the gathered elements would exceed
+    ``budget``.
+    """
+    reached = np.zeros(ends.size, dtype=bool)
+    live = np.arange(ends.size)
+    end, span = ends[:, None], spans[:, None]
+    count = np.zeros(ends.size, dtype=np.int64)
+    walked, block = 0, capacity
+    while live.size:
+        width = min(block, int(span.max()) - walked)
+        budget -= live.size * width
+        if budget < 0:
+            return None
+        steps = np.arange(walked + 1, walked + width + 1)
+        # Steps past a window's start are masked out; their positions
+        # may go negative, but never below -len(nxt), so they only wrap.
+        fresh = (nxt[end - steps] >= end) & (steps <= span)
+        count += fresh.sum(axis=1)
+        walked += width
+        block *= 2
+        full = count >= capacity
+        reached[live[full]] = True
+        keep = ~full & (span[:, 0] > walked)
+        live, end, span, count = live[keep], end[keep], span[keep], count[keep]
+    return reached
 
 
 def _count_misses_vec(
@@ -199,18 +250,18 @@ def _count_misses_vec(
         order = np.argsort(slots, kind="stable")
         slot_sorted = slots[order]
         key_sorted = run_keys[order]
-        hit_sorted = (slot_sorted[1:] == slot_sorted[:-1]) & (
-            key_sorted[1:] == key_sorted[:-1]
-        )
+        same_slot = slot_sorted[1:] == slot_sorted[:-1]
+        hit_sorted = same_slot & (key_sorted[1:] == key_sorted[:-1])
         distinct = int(np.unique(run_keys).size)
         return n_runs - int(hit_sorted.sum()), distinct
 
     # Previous occurrence of each run's key, via one stable sort.
     order = np.argsort(run_keys, kind="stable")
     key_sorted = run_keys[order]
-    prev = np.full(n_runs, -1, dtype=np.int64)
     same = key_sorted[1:] == key_sorted[:-1]
-    prev[order[1:][same]] = order[:-1][same]
+    earlier, later = order[:-1][same], order[1:][same]
+    prev = np.full(n_runs, -1, dtype=np.int64)
+    prev[later] = earlier
     cold = prev < 0
     n_unique = int(cold.sum())
     if n_unique <= capacity:
@@ -229,40 +280,19 @@ def _count_misses_vec(
     windows = repeats - prev[repeats] - 1
     # Run-length compression bounds the distinct count by the window
     # length, so short windows are guaranteed LRU hits.
-    undecided = repeats[windows >= capacity]
-    misses = n_unique
-    if undecided.size:
-        starts = prev[undecided] + 1
-        spans = undecided - starts
-        total = int(spans.sum())
-        if total > max(_WINDOW_BUDGET, 8 * n_runs):
-            return None, n_unique
-        # One batched distinct-count over every undecided window at
-        # once: gather all window elements, tag each with its window
-        # id, and count first occurrences per (window, key) group via
-        # a single lexsort.  Replaces a per-window ``np.unique`` loop
-        # whose Python overhead dominated short-trace replays with
-        # many modest windows (the hydro_2d small-n regression).
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(spans) - spans, spans
-        )
-        flat = run_keys[np.repeat(starts, spans) + offsets]
-        win_id = np.repeat(
-            np.arange(undecided.size, dtype=np.int64), spans
-        )
-        order = np.lexsort((flat, win_id))
-        k_sorted = flat[order]
-        w_sorted = win_id[order]
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        first[1:] = (k_sorted[1:] != k_sorted[:-1]) | (
-            w_sorted[1:] != w_sorted[:-1]
-        )
-        distinct_per_window = np.bincount(
-            w_sorted[first], minlength=undecided.size
-        )
-        misses += int((distinct_per_window >= capacity).sum())
-    return misses, n_unique
+    undecided = windows >= capacity
+    if not undecided.any():
+        return n_unique, n_unique
+    # Next occurrences from the same sort, built only when needed.
+    nxt = np.full(n_runs, n_runs, dtype=np.int64)
+    nxt[earlier] = later
+    budget = max(_WINDOW_BUDGET, 8 * n_runs)
+    reached = _window_reaches(
+        nxt, repeats[undecided], windows[undecided], capacity, budget
+    )
+    if reached is None:
+        return None, n_unique
+    return n_unique + int(reached.sum()), n_unique
 
 
 def _count_misses_scalar(
@@ -313,34 +343,20 @@ def simulate_vec(
         exec_pe = _owners_by_array(
             trace.w_arr, w_pages, tables, config.partition, n_pes
         )
-        if (
-            config.reduction_strategy == "subrange"
-            and trace.reduction_mask.any()
-        ):
+        if config.reduction_strategy == "subrange" and trace.reduction_mask.any():
             exec_pe = subrange_placement(trace, tables, config, exec_pe)
-        stats.add_vector(
-            AccessKind.WRITE, np.bincount(exec_pe, minlength=n_pes)
-        )
+        stats.add_vector(AccessKind.WRITE, np.bincount(exec_pe, minlength=n_pes))
 
-    def finish(
-        page_fetches: np.ndarray, distinct_pages: np.ndarray
-    ) -> SimResult:
-        if (
-            config.reduction_strategy == "subrange"
-            and trace.reduction_mask.any()
-        ):
+    def finish(page_fetches: np.ndarray, distinct_pages: np.ndarray) -> SimResult:
+        if config.reduction_strategy == "subrange" and trace.reduction_mask.any():
             # The combine phase is inherently ordered per accumulator;
             # charge it through the scalar engine's shared routine.
             with _phase("fallback_scalar"):
-                _charge_subrange_combine(
-                    trace, tables, config, exec_pe, stats
-                )
+                _charge_subrange_combine(trace, tables, config, exec_pe, stats)
         return SimResult(config, stats, page_fetches, distinct_pages)
 
     if trace.n_reads == 0:
-        return finish(
-            np.zeros(n_pes, dtype=np.int64), np.zeros(n_pes, dtype=np.int64)
-        )
+        return finish(np.zeros(n_pes, dtype=np.int64), np.zeros(n_pes, dtype=np.int64))
 
     with _phase("classify_vec"):
         r_exec = exec_pe[columns.r_instance]

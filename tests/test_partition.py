@@ -54,6 +54,30 @@ class TestBlock:
                 np.array([page]), 10, 4
             )[0]
 
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        n_pes=st.integers(1, 16),
+        data=st.data(),
+    )
+    def test_array_n_pages_matches_per_array_calls(self, sizes, n_pes, data):
+        """One call with a per-element ``n_pages`` (how the simulators
+        look up owners across arrays) equals one scalar call per array."""
+        arr_ids = np.asarray(
+            data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=60)),
+            dtype=np.int64,
+        )
+        pages = np.array(
+            [data.draw(st.integers(0, sizes[a] - 1)) for a in arr_ids.tolist()],
+            dtype=np.int64,
+        )
+        n_pages = np.asarray(sizes, dtype=np.int64)[arr_ids]
+        scheme = BlockPartition()
+        got = scheme.owners_of(pages, n_pages, n_pes)
+        for a, size in enumerate(sizes):
+            mask = arr_ids == a
+            expected = scheme.owners_of(pages[mask], size, n_pes)
+            assert got[mask].tolist() == expected.tolist()
+
 
 class TestBlockCyclic:
     def test_block_one_is_modulo(self):

@@ -38,6 +38,7 @@ from repro.core.vec_simulator import (
     _count_misses_scalar,
     _count_misses_vec,
     _fifo_fixed_point,
+    _window_reaches,
 )
 from repro.ir import TraceBuilder
 from repro.kernels import get_kernel
@@ -186,10 +187,10 @@ def _rle(keys: np.ndarray) -> np.ndarray:
 
 
 class TestBatchedLruWindows:
-    """The batched per-window distinct counts (which replaced a
-    per-window ``np.unique`` Python loop that dominated short-trace
-    replays with many modest windows — the hydro_2d small-n
-    regression) must agree with the scalar cache replay exactly."""
+    """The LRU threshold walk, which decides every undecided window of
+    a PE at once, must agree with the scalar cache replay exactly —
+    also on many modest windows, the shape of the hydro_2d small-n
+    regression that a per-window Python loop once caused."""
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(
@@ -211,8 +212,8 @@ class TestBatchedLruWindows:
 
     def test_window_heavy_sequence_stays_vectorised(self):
         """The regressing shape: thousands of undecided windows, each
-        a handful of keys long.  The batched pass must decide them
-        (no wholesale fallback) and match the scalar count."""
+        a handful of keys long.  The walk must decide them in a few
+        blocks (no wholesale fallback) and match the scalar count."""
         rng = np.random.default_rng(7)
         run_keys = _rle(rng.integers(0, 10, size=4000))
         arrs = np.zeros_like(run_keys)
@@ -240,6 +241,92 @@ class TestBatchedLruWindows:
         )
         assert telemetry["fallback_pes"] == 0
         assert telemetry["vectorised_pes"] > 0
+
+
+@st.composite
+def _lru_streams(draw):
+    """RLE streams of short random stretches, some followed by a long
+    low-distinct stretch: key X, thousands of alternating A/B, X again.
+    X's window holds two distinct keys over thousands of positions, so
+    the walk either meets the capacity at once (capacity <= 2: a miss)
+    or must pass the whole window (a hit) — or runs out of budget."""
+    keys: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys += draw(st.lists(st.integers(0, 12), min_size=1, max_size=60))
+        if draw(st.booleans()):
+            x, a, b = draw(
+                st.lists(st.integers(0, 15), min_size=3, max_size=3, unique=True)
+            )
+            keys += [x] + [a, b] * draw(st.integers(1, 2000)) + [x]
+    return _rle(np.asarray(keys, dtype=np.int64))
+
+
+def _lru_windows(run_keys: np.ndarray, capacity: int):
+    """``(n_unique, nxt, ends, spans)`` of the windows the LRU branch
+    hands to the walk: every repeat whose window spans the capacity."""
+    n = run_keys.size
+    order = np.argsort(run_keys, kind="stable")
+    same = run_keys[order[1:]] == run_keys[order[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[order[:-1][same]] = order[1:][same]
+    repeats = np.flatnonzero(prev >= 0)
+    spans = repeats - prev[repeats] - 1
+    wide = spans >= capacity
+    return int((prev < 0).sum()), nxt, repeats[wide], spans[wide]
+
+
+class TestLruThresholdWalk:
+    """The capacity-bounded backward walk decides LRU misses exactly,
+    or gives up (None) once its gathered elements pass the budget."""
+
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    @given(
+        run_keys=_lru_streams(),
+        capacity=st.integers(1, 8),
+        budget=st.integers(0, 20000),
+    )
+    def test_walk_miss_count_matches_scalar(self, run_keys, capacity, budget):
+        arrs = np.zeros_like(run_keys)
+        truth = _count_misses_scalar(arrs, run_keys, "lru", capacity)
+        misses, _ = _count_misses_vec(run_keys, arrs, run_keys, "lru", capacity)
+        assert misses == truth  # the default budget decides these streams
+        n_unique, nxt, ends, spans = _lru_windows(run_keys, capacity)
+        reached = _window_reaches(nxt, ends, spans, capacity, budget)
+        if reached is None:  # budget exhausted: the PE replays scalar
+            return
+        assert n_unique + int(reached.sum()) == truth
+
+    @pytest.mark.parametrize("capacity, missed", [(2, True), (3, False)])
+    def test_long_low_distinct_window(self, capacity, missed):
+        """X, 3000 x (A, B), X: the second X misses at capacity 2 after
+        one block, hits at capacity 3 after walking its whole window,
+        and that walk is what a small budget cannot pay for."""
+        run_keys = np.array([9] + [1, 2] * 3000 + [9], dtype=np.int64)
+        _, nxt, ends, spans = _lru_windows(run_keys, capacity)
+        assert ends.tolist() == [run_keys.size - 1]
+        reached = _window_reaches(nxt, ends, spans, capacity, 1 << 16)
+        assert reached.tolist() == [missed]
+        small = _window_reaches(nxt, ends, spans, capacity, 1000)
+        assert (small is None) == (not missed)
+
+    @pytest.mark.parametrize("page_size", (32, 64))
+    @pytest.mark.parametrize("n_pes", (2, 4, 8, 16, 32, 64))
+    def test_linear_recurrence_paper_geometry_vectorised(self, n_pes, page_size):
+        """The paper grid's cached linear_recurrence points: every PE
+        segment is decided by the walk, none replays scalar."""
+        program, inputs = get_kernel("linear_recurrence").build()
+        trace = kernel_trace(program, inputs)
+        config = MachineConfig(
+            n_pes=n_pes, page_size=page_size, cache_elems=256, cache_policy="lru"
+        )
+        telemetry: dict[str, int] = {}
+        assert_identical(
+            simulate(trace, config),
+            simulate_vec(trace, config, telemetry),
+        )
+        assert telemetry["fallback_pes"] == 0
 
 
 class TestFifoFixedPoint:
